@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import selftest as _selftest
-from .coefficients import alpha_pair, alpha_prime_free
+from .coefficients import alpha_arrays, alpha_pair, alpha_prime_free
 from .core import QbmError, SystemParams
 from .diffusion import diffusion_constants, positivity_delta, tc_curve
 from .dynamics import (
@@ -29,7 +29,7 @@ from .dynamics import (
 )
 from .grid import evolve as grid_evolve
 from .grid import gaussian_state, suggested_half_width
-from .matsubara import matsubara_p2, matsubara_q2
+from .matsubara import MatsubaraConfig, matsubara_p2, matsubara_q2
 
 FLOAT_FMT = "%.17g"
 
@@ -111,6 +111,8 @@ def _parse_range(text: str, what: str) -> tuple[float, float, bool]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{what}: need finite lo and hi, got {text!r}")
     if not lo < hi:
         raise ConfigError(f"{what}: need lo < hi, got {text!r}")
     return lo, hi, len(parts) == 3
@@ -319,35 +321,41 @@ def _emit(cfg: RunConfig, meta: str, rows: list[tuple], xlabel: str = "") -> Non
         sys.stdout.write(text)
 
 
-def _swept_params(cfg: RunConfig):
+def _swept_params(cfg: RunConfig) -> tuple[str, np.ndarray, SystemParams]:
+    """The sweep variable, its values, and the whole sweep as one batch of
+    systems (every value validated)."""
     sweep = cfg.sweep or Sweep("T", 0.1, 100.0, True)
-    for v in sweep.values(cfg.points):
-        yield float(v), cfg.params(**{sweep.var: float(v)})
+    values = sweep.values(cfg.points)
+    return sweep.var, values, cfg.params(**{sweep.var: values})
+
+
+def _columns(var: str, values: np.ndarray, *arrays) -> list[tuple]:
+    return [(var, *row) for row in zip(values.tolist(), *(a.tolist() for a in arrays))]
 
 
 def _run_coeffs(cfg: RunConfig) -> int:
-    var = (cfg.sweep or Sweep("T", 0.1, 100.0, True)).var
-    rows = []
-    for v, p in _swept_params(cfg):
-        ab = alpha_pair(p)
-        rows.append((var, v, ab.alpha, ab.alpha_prime, ab.residual_imag))
+    var, values, p = _swept_params(cfg)
+    ab = alpha_arrays(p)
+    rows = _columns(var, values, ab.alpha, ab.alpha_prime, ab.residual_imag)
     _emit(cfg, cfg.convention(), rows, xlabel=var)
     return 0
 
 
 def _run_diffusion(cfg: RunConfig) -> int:
-    var = (cfg.sweep or Sweep("T", 0.1, 100.0, True)).var
-    rows = []
-    for v, p in _swept_params(cfg):
-        d = diffusion_constants(p)
-        rep = positivity_delta(d)
-        rows.append((var, v, d.Dpp, d.Dqq, d.Dpq, rep.delta, rep.positive))
+    var, values, p = _swept_params(cfg)
+    d = diffusion_constants(p)
+    rep = positivity_delta(d)
+    rows = _columns(var, values, d.Dpp, d.Dqq, d.Dpq, rep.delta, rep.positive)
     _emit(cfg, cfg.convention(), rows, xlabel=var)
     return 0
 
 
 def _run_tc_curve(cfg: RunConfig) -> int:
     lo, hi, _ = _parse_range(cfg.options["omega0_over_gamma"], "--omega0-over-gamma")
+    if not lo > 0:
+        raise ConfigError("--omega0-over-gamma: need lo > 0")
+    if not (0 < cfg.hbar < math.inf and 0 < cfg.kB < math.inf):
+        raise ConfigError("--hbar and --kB must be finite and positive")
     pts = tc_curve(lo, hi, cfg.points, hbar=cfg.hbar, kB=cfg.kB)
     _emit(cfg, f"hbar={cfg.hbar:g} kB={cfg.kB:g} (dimensionless axes)",
           [(r, tc) for r, tc in pts], xlabel="omega0/gamma")
@@ -356,8 +364,8 @@ def _run_tc_curve(cfg: RunConfig) -> int:
 
 def _run_equilibrium(cfg: RunConfig) -> int:
     ratio = cfg.options["gamma_over_omega0"]
-    if ratio <= 0:
-        raise ConfigError("--gamma-over-omega0 must be positive")
+    if not 0 < ratio < math.inf:
+        raise ConfigError("--gamma-over-omega0 must be finite and positive")
     omega0 = cfg.gamma / ratio
     lo, hi, log = cfg.options["T_range"]
     Ts = np.geomspace(lo, hi, cfg.points) if log else np.linspace(lo, hi, cfg.points)
@@ -371,8 +379,10 @@ def _run_equilibrium(cfg: RunConfig) -> int:
         kin_or = matsubara_p2(p) / (2.0 * p.M)
         rows.append((float(T), pot, kin, pot_or, kin_or,
                      pot / pot_or - 1.0, kin / kin_or - 1.0))
+    # the oracle's Drude cutoff, which kinetic_oracle depends on
+    omega_c = MatsubaraConfig().cutoff_for(cfg.params(omega0=omega0))
     meta = (f"gamma_over_omega0={ratio:g} omega0={omega0:g} gamma={cfg.gamma:g} "
-            f"M={cfg.M:g} hbar={cfg.hbar:g} kB={cfg.kB:g}")
+            f"M={cfg.M:g} hbar={cfg.hbar:g} kB={cfg.kB:g} omega_c={omega_c:g}")
     _emit(cfg, meta, rows, xlabel="T")
     return 0
 

@@ -8,18 +8,25 @@ derived master equation stops being positivity preserving.
 
 from __future__ import annotations
 
+import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .coefficients import AlphaPair, alpha_pair
+from .coefficients import AlphaPair, alpha_arrays, alpha_pair
 from .core import BracketError, SystemParams, TemperatureError
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_TC_BRACKET = (1e-3, 1e3)
+
+# elements per Delta evaluation in the T_c solver.  The kernel holds ~360
+# bytes of temporaries an element: on the benchmark's tc_curve workload
+# blocks of 2048 kept peak RSS at the scalar solver's 33.4 MB, 4096 raised
+# it by ~1 MB at the same speed, and 1024 was ~25% slower
+_TC_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,7 @@ class DiffusionConstants:
     The algebraic ties Dpq = 4 kB T gamma^2 a', Dqq = 2 kB T gamma a'/M,
     Dpp = 2 kB T M gamma (a + 4 gamma^2 a') are reproducible bit-for-bit from
     ``source``.  ``source``/``params`` are None for hand-built instances.
+    For a batch of systems every field is an array.
     """
 
     Dpp: float
@@ -48,8 +56,12 @@ class PositivityReport:
 
 
 def diffusion_constants(p: SystemParams) -> DiffusionConstants:
-    """Full (non-perturbative) diffusion constants at temperature T > 0."""
-    ab = alpha_pair(p)
+    """Full (non-perturbative) diffusion constants at temperature T > 0.
+
+    For a batch of systems (array fields, see SystemParams) the constants
+    are arrays, from one ``alpha_arrays`` evaluation.
+    """
+    ab = alpha_arrays(p) if p.shape else alpha_pair(p)
     kT = p.kB * p.T
     g = p.gamma
     Dpq = 4.0 * kT * g * g * ab.alpha_prime
@@ -78,76 +90,122 @@ def high_t_diffusion(p: SystemParams) -> DiffusionConstants:
 def positivity_delta(d: DiffusionConstants) -> PositivityReport:
     """Delta = Dpp*Dqq - Dpq^2 - hbar^2 gamma^2 / 4.
 
-    When all three contributions are within 1e6x of each other, hbar^2 gamma^2
-    is factored out before subtracting so the high-temperature limit
-    hbar^2 gamma^2 / 12 is not lost to cancellation.
+    Where all three contributions are within 1e6x of each other, hbar^2
+    gamma^2 is factored out before subtracting so the high-temperature limit
+    hbar^2 gamma^2 / 12 is not lost to cancellation.  Array-valued constants
+    give array-valued ``delta`` and ``positive``.
     """
     if d.params is None:
         raise ValueError("positivity_delta needs DiffusionConstants with params attached")
     p = d.params
     hg = p.hbar * p.gamma
     a = d.Dpp * d.Dqq / (hg * hg)
-    b = (d.Dpq / hg) ** 2
-    if max(abs(a), abs(b)) < 1e6:
-        delta = (a - b - 0.25) * hg * hg
-    else:
-        delta = d.Dpp * d.Dqq - d.Dpq * d.Dpq - 0.25 * hg * hg
+    b = np.float_power(d.Dpq / hg, 2)  # libm pow, as the float ** operator rounds it
+    delta = np.where(np.maximum(np.abs(a), np.abs(b)) < 1e6,
+                     (a - b - 0.25) * hg * hg,
+                     d.Dpp * d.Dqq - d.Dpq * d.Dpq - 0.25 * hg * hg)
+    if delta.ndim == 0:
+        delta = float(delta)
     return PositivityReport(delta, delta > 0.0, p.T, p)
 
 
-def _delta_dimensionless(ratio: float, theta: float, hbar: float, kB: float) -> float:
-    """Delta/(hbar*gamma)^2 at omega0/gamma = ratio, kB*T/(hbar*gamma) = theta."""
+def _delta_dimensionless(ratio, theta, hbar: float, kB: float) -> np.ndarray:
+    """Delta/(hbar*gamma)^2 at omega0/gamma = ratio, kB*T/(hbar*gamma) = theta,
+    on 1-D arrays of equal length."""
     p = SystemParams(omega0=ratio, T=theta * hbar / kB, gamma=1.0, M=1.0, hbar=hbar, kB=kB)
-    rep = positivity_delta(diffusion_constants(p))
-    return rep.delta / (hbar * hbar)
+    return positivity_delta(diffusion_constants(p)).delta / (hbar * hbar)
+
+
+def _delta_blocks(ratio: np.ndarray, theta: np.ndarray, hbar: float, kB: float) -> np.ndarray:
+    """_delta_dimensionless, _TC_BLOCK elements per evaluation."""
+    out = np.empty(ratio.size)
+    for start in range(0, ratio.size, _TC_BLOCK):
+        block = slice(start, start + _TC_BLOCK)
+        out[block] = _delta_dimensionless(ratio[block], theta[block], hbar, kB)
+    return out
 
 
 def breakdown_temperature(
-    omega0_over_gamma: float,
+    omega0_over_gamma,
     hbar: float = 1.0,
     kB: float = 1.0,
     bracket: tuple[float, float] = DEFAULT_TC_BRACKET,
     scan_points: int = 200,
     rtol: float = 1e-10,
-) -> float:
+):
     """kB*T_c/(hbar*gamma) at which Delta crosses zero.
 
     Scans ``scan_points`` log-spaced temperatures over ``bracket`` first and
     requires exactly one sign change (BracketError, carrying the scan table,
     otherwise), then bisects in log-temperature to relative width ``rtol``.
+
+    ``omega0_over_gamma`` may be an array of ratios; the result is then an
+    array of the same shape, a scalar ratio gives a float.  All ratios share
+    one blocked scan and one bisection that moves them in lockstep, each with
+    its own stopping rule, so every T_c equals that of a solve on its own.
     """
-    if not omega0_over_gamma > 0.0:
-        raise ValueError("omega0_over_gamma must be positive")
+    ratios = np.asarray(omega0_over_gamma, dtype=float)
+    if not np.all((ratios > 0.0) & (ratios < math.inf)):
+        raise ValueError("omega0_over_gamma must be finite and positive")
+    r = ratios.reshape(-1)
     thetas = np.geomspace(bracket[0], bracket[1], scan_points)
-    deltas = [_delta_dimensionless(omega0_over_gamma, th, hbar, kB) for th in thetas]
+    # the scan goes a block of ratios at a time, so no (ratios x scan_points)
+    # table is ever held: each ratio keeps its crossing index and Delta there
+    i = np.empty(r.size, dtype=int)
+    flo = np.empty(r.size)
+    rows = max(1, _TC_BLOCK // scan_points)
+    for start in range(0, r.size, rows):
+        block = r[start:start + rows]
+        deltas = _delta_blocks(np.repeat(block, scan_points), np.tile(thetas, block.size),
+                               hbar, kB).reshape(block.size, scan_points)
+        crosses = (deltas[:, :-1] == 0.0) | (deltas[:, :-1] * deltas[:, 1:] < 0.0)
+        counts = np.count_nonzero(crosses, axis=1)
+        bad = np.flatnonzero(counts != 1)
+        if bad.size:
+            j = bad[0]
+            raise BracketError(
+                f"expected exactly one sign change of Delta for omega0/gamma="
+                f"{block[j]:g} in {bracket}, found {counts[j]}",
+                scan=list(zip(thetas.tolist(), deltas[j].tolist())),
+            )
+        first = np.argmax(crosses, axis=1)
+        i[start:start + rows] = first
+        flo[start:start + rows] = deltas[np.arange(block.size), first]
 
-    crossings = [
-        i for i in range(len(thetas) - 1)
-        if deltas[i] == 0.0 or deltas[i] * deltas[i + 1] < 0.0
-    ]
-    if len(crossings) != 1:
-        raise BracketError(
-            f"expected exactly one sign change of Delta for omega0/gamma="
-            f"{omega0_over_gamma:g} in {bracket}, found {len(crossings)}",
-            scan=list(zip(thetas.tolist(), deltas)),
-        )
-
-    i = crossings[0]
-    lo, hi = float(thetas[i]), float(thetas[i + 1])
-    flo = deltas[i]
+    lo, hi = thetas[i], thetas[i + 1]
+    # every iteration evaluates all ratios, finished ones included (they
+    # finish within an iteration or two of each other), so the arrays keep
+    # one size; see core.xcothx_m1 on numpy's small-buffer cache
+    tc = np.zeros(r.size)
+    exact = np.zeros(r.size, dtype=bool)    # Delta(mid) == 0 ended the search
+    active = np.ones(r.size, dtype=bool)
+    steps = np.zeros(r.size, dtype=int)
     for _ in range(200):
-        if hi - lo <= rtol * lo:
+        active &= ~(hi - lo <= rtol * lo)
+        if not active.any():
             break
-        mid = math.sqrt(lo * hi)
-        fmid = _delta_dimensionless(omega0_over_gamma, mid, hbar, kB)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo = mid
-            flo = fmid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+        mid = np.sqrt(lo * hi)
+        fmid = _delta_blocks(r, mid, hbar, kB)
+        steps += active
+        hit = active & (fmid == 0.0)
+        tc = np.where(hit, mid, tc)
+        exact |= hit
+        active &= ~hit
+        same = (fmid < 0.0) == (flo < 0.0)
+        lo = np.where(active & same, mid, lo)
+        flo = np.where(active & same, fmid, flo)
+        hi = np.where(active & ~same, mid, hi)
+    tc = np.where(exact, tc, np.sqrt(lo * hi))
+
+    if logger.isEnabledFor(logging.DEBUG):
+        # every ratio is evaluated at every scan point and lockstep iteration
+        lockstep = int(steps.max(initial=0))
+        critical = np.count_nonzero(SystemParams(omega0=r, T=1.0).is_critical())
+        logger.debug("T_c of %d ratios: scan crossing index %s, bisection iterations %s "
+                     "(%d in lockstep), %d critical-nudged elements",
+                     r.size, i.tolist(), steps.tolist(), lockstep,
+                     critical * (scan_points + lockstep))
+    return float(tc[0]) if ratios.ndim == 0 else tc.reshape(ratios.shape)
 
 
 def tc_curve(
@@ -157,24 +215,13 @@ def tc_curve(
     hbar: float = 1.0,
     kB: float = 1.0,
 ) -> list[tuple[float, float]]:
-    """Breakdown-temperature curve (omega0/gamma, kB*T_c/hbar*gamma).
-
-    Points are independent; QBROWN_THREADS > 1 evaluates them in a thread
-    pool.  Output order is by abscissa regardless of completion order.
-    """
+    """Breakdown-temperature curve (omega0/gamma, kB*T_c/hbar*gamma) at
+    ``n_points`` log-spaced ratios, all solved in one batched
+    ``breakdown_temperature`` call."""
     if not (0.0 < ratio_lo < ratio_hi):
         raise ValueError("need 0 < ratio_lo < ratio_hi")
     if n_points < 2:
         raise ValueError("need at least two points")
     ratios = np.geomspace(ratio_lo, ratio_hi, n_points)
-
-    def worker(r: float) -> float:
-        return breakdown_temperature(r, hbar=hbar, kB=kB)
-
-    threads = int(os.environ.get("QBROWN_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            tcs = list(ex.map(worker, ratios))
-    else:
-        tcs = [worker(r) for r in ratios]
-    return [(float(r), tc) for r, tc in zip(ratios, tcs)]
+    tcs = breakdown_temperature(ratios, hbar=hbar, kB=kB)
+    return list(zip(ratios.tolist(), tcs.tolist()))

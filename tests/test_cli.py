@@ -2,11 +2,15 @@
 
 import csv
 import io
+import logging
 import math
 
 import pytest
 
 from qbrown.cli import COLUMNS, build_parser, main
+from qbrown.coefficients import alpha_pair
+from qbrown.core import SystemParams
+from qbrown.diffusion import diffusion_constants, positivity_delta
 
 
 def run_cli(argv, capsys):
@@ -43,6 +47,18 @@ class TestCoeffs:
         assert rows[0][0] == "omega0"
         assert float(rows[0][1]) == 0.5 and float(rows[-1][1]) == 4.0
 
+    def test_sweep_rows_match_scalar_calls(self, capsys):
+        # the whole sweep is one batch; each row equals its own scalar call,
+        # the critical omega0 = gamma row included
+        code, out, _ = run_cli(
+            ["coeffs", "--sweep", "omega0=0.5:1.5", "--points", "11", "--T", "0.7",
+             "--omega-c", "40"], capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        for r in rows:
+            ab = alpha_pair(SystemParams(omega0=float(r[1]), T=0.7, omega_c=40.0))
+            assert r[2:] == ["%.17g" % v for v in (ab.alpha, ab.alpha_prime, ab.residual_imag)]
+
     def test_zero_temperature_is_numerical_failure(self, capsys):
         # sweep another variable so the fixed T=0 actually reaches the kernel
         code, _, err = run_cli(
@@ -61,6 +77,18 @@ class TestDiffusionCmd:
         assert rows[0][6] == "false"    # below breakdown at T = 0.1
         assert rows[-1][6] == "true"    # high T is positive
 
+    def test_sweep_rows_match_scalar_calls(self, capsys):
+        code, out, _ = run_cli(
+            ["diffusion", "--sweep", "M=0.5:2", "--points", "4", "--T", "0.45"], capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        for r in rows:
+            p = SystemParams(omega0=1.0, T=0.45, M=float(r[1]))
+            d = diffusion_constants(p)
+            rep = positivity_delta(d)
+            assert r[2:6] == ["%.17g" % v for v in (d.Dpp, d.Dqq, d.Dpq, rep.delta)]
+            assert r[6] == ("true" if rep.positive else "false")
+
 
 class TestTcCurve:
     def test_first_row_matches_anchor(self, capsys, tmp_path):
@@ -76,6 +104,14 @@ class TestTcCurve:
         sidecar = tmp_path / "tc.csv.plot.py"
         assert sidecar.exists()
         assert "matplotlib" in sidecar.read_text()
+
+    def test_debug_logging_leaves_csv_unchanged(self, capsys, caplog, tmp_path):
+        argv = ["tc-curve", "--omega0-over-gamma", "0.5:2", "--points", "3"]
+        _, quiet, _ = run_cli(argv, capsys)
+        with caplog.at_level(logging.DEBUG, logger="qbrown"):
+            _, loud, _ = run_cli(argv, capsys)
+        assert loud == quiet
+        assert any("scan crossing index" in r.getMessage() for r in caplog.records)
 
     def test_byte_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -101,6 +137,16 @@ class TestEquilibriumCmd:
         T, pot, kin = (float(rows[-1][i]) for i in (0, 1, 2))
         assert pot == pytest.approx(T / 2.0, rel=0.05)
         assert kin == pytest.approx(T / 2.0, rel=0.05)
+
+    def test_meta_records_oracle_cutoff(self, capsys):
+        # the oracle's default Drude cutoff 1e3*max(gamma, omega0): gamma/omega0
+        # = 0.25 gives omega0 = 4 and omega_c = 4000
+        code, out, _ = run_cli(
+            ["equilibrium", "--gamma-over-omega0", "0.25", "--T", "200:400", "--points", "1"],
+            capsys)
+        assert code == 0
+        meta, _, _ = parse_csv(out)
+        assert meta.endswith(" omega0=4 gamma=1 M=1 hbar=1 kB=1 omega_c=4000")
 
 
 class TestMomentsCmd:
@@ -169,6 +215,17 @@ class TestConfigErrors:
         ["equilibrium", "--gamma-over-omega0", "-1"],
         ["coeffs", "--gamma", "-2"],
         ["no-such-command"],
+        # non-finite values, fixed or swept, are configuration errors
+        ["moments", "--T", "inf"],
+        ["moments", "--omega0", "nan"],
+        ["coeffs", "--omega0", "nan"],
+        ["diffusion", "--sweep", "T=0.1:inf"],
+        ["diffusion", "--sweep", "omega0=-1:1"],
+        ["tc-curve", "--omega0-over-gamma", "1e-3:inf"],
+        ["tc-curve", "--omega0-over-gamma", "0:1"],
+        ["tc-curve", "--hbar", "inf"],
+        ["equilibrium", "--gamma-over-omega0", "nan"],
+        ["equilibrium", "--T", "1:inf"],
     ])
     def test_exit_1(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)

@@ -1,12 +1,14 @@
 """Dissipation coefficients alpha, alpha' against limits and pinned values."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from qbrown.coefficients import CutoffMode, alpha_pair, alpha_prime_free
+from qbrown.coefficients import CutoffMode, alpha_arrays, alpha_pair, alpha_prime_free
 from qbrown.core import SystemParams, TemperatureError, xcothx
+from qbrown.diffusion import diffusion_constants, positivity_delta
 
 # 40-digit evaluation of the closed forms at gamma=1, omega0=2, kB*T=hbar*gamma,
 # omega_c=inf: alpha = 0.97991337334597421156, alpha' = 0.077730261384691019992
@@ -134,3 +136,143 @@ class TestAlphaPrimeFree:
         x = 7.0 * 2.0 / (11.0 * 3.0)
         ref = (x / math.tanh(x) - 1.0) / 16.0
         assert v == pytest.approx(ref, rel=1e-12)
+
+
+def _scalar_alpha_reference(w, T, g, wc, hbar=1.0, kB=1.0):
+    """The scalar complex-arithmetic evaluation the batched kernel replaced:
+    one system per call, Python complex numbers throughout."""
+    w, T, g, wc, hbar, kB = map(float, (w, T, g, wc, hbar, kB))
+
+    def bracket(z, lam):
+        z = complex(z)
+        if abs(z) < 1e-2:
+            z2 = z * z
+            x = z2 * (1.0 / 3.0 + z2 * (-1.0 / 45.0 + z2 * (2.0 / 945.0)))
+        else:
+            z = -z if z.real < 0.0 else z
+            e = cmath.exp(-2.0 * z)
+            x = z * (1.0 + e) / (1.0 - e) - 1.0
+        if math.isinf(wc):
+            return x
+        d = (lam / wc) ** 2
+        return (x - d) / (1.0 + d)
+
+    def raw(w):
+        Om = cmath.sqrt(complex(g * g - w * w))
+        l1 = -(w * w) / (g + Om) if g >= w else -g + Om
+        l2 = -g - Om
+        s = hbar / (2.0 * kB * T)
+        if w == 0.0:
+            return 1.0 + 0.0j, bracket(l2 * s, l2) / (l2 - l1) ** 2
+        b1, bm, b2 = bracket(l1 * s, l1), bracket(w * s, complex(w)), bracket(l2 * s, l2)
+        d2 = (l2 - l1) ** 2
+        prod = w * w
+        alpha = 1.0 + (prod * prod / d2) * (b1 / (l1 * l1) - 2.0 * bm / prod + b2 / (l2 * l2))
+        return alpha, (b1 - 2.0 * bm + b2) / d2
+
+    if abs(g - w) <= 1e-9 * g:
+        (a_hi, ap_hi), (a_lo, ap_lo) = raw(w * (1.0 + 1e-7)), raw(w * (1.0 - 1e-7))
+        a, ap = 0.5 * (a_hi + a_lo), 0.5 * (ap_hi + ap_lo)
+    else:
+        a, ap = raw(w)
+    residual = max(abs(a.imag) / max(abs(a.real), 1e-300),
+                   abs(ap.imag) / max(abs(ap.real), 1e-300))
+    return a.real, ap.real, residual
+
+
+class TestBatchedKernel:
+    def test_reproduces_scalar_complex_arithmetic_bit_for_bit(self):
+        rng = np.random.default_rng(99)
+        n = 400
+        g = 10.0 ** rng.uniform(-1, 1, n)
+        w = g * 10.0 ** rng.uniform(-3, 2, n)
+        w[:20] = 0.0
+        w[20:40] = g[20:40]                      # critical
+        T = 10.0 ** rng.uniform(-3, 3, n)
+        wc = np.where(rng.uniform(size=n) < 0.5, 10.0 ** rng.uniform(0, 4, n), math.inf)
+        hbar, kB = 10.0 ** rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-1, 1, n)
+        ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar, kB=kB))
+        for i in range(n):
+            want = _scalar_alpha_reference(w[i], T[i], g[i], wc[i], hbar[i], kB[i])
+            assert (ab.alpha[i], ab.alpha_prime[i], ab.residual_imag[i]) == want, i
+
+    def test_shapes_and_scalar_wrapper(self):
+        p = SystemParams(omega0=np.array([0.5, 2.0]), T=np.array([[0.3], [3.0]]))
+        ab = alpha_arrays(p)
+        assert ab.alpha.shape == ab.alpha_prime.shape == ab.residual_imag.shape == (2, 2)
+        assert ab.cutoff_mode is CutoffMode.INFINITE
+        one = alpha_pair(SystemParams(omega0=2.0, T=3.0))
+        assert type(one.alpha) is float and (one.alpha, one.alpha_prime) == (
+            ab.alpha[1, 1], ab.alpha_prime[1, 1])
+        with pytest.raises(ValueError):
+            alpha_pair(p)
+
+    def test_zero_temperature_anywhere_rejected(self):
+        with pytest.raises(TemperatureError):
+            alpha_arrays(SystemParams(omega0=1.0, T=np.array([1.0, 0.0])))
+
+
+def _mp_closed_forms(mp, w, T, g, wc):
+    """alpha, alpha' and Delta/(hbar gamma)^2 from the three-bracket closed
+    forms at 30 significant digits (hbar = kB = M = 1).  Critical damping is
+    the removable singularity of the forms; it is taken at a 1e-20 offset,
+    whose error is of that order."""
+    with mp.workdps(60):
+        w, T, g = mp.mpf(w), mp.mpf(T), mp.mpf(g)
+        if w == g:
+            w = w * (1 + mp.mpf("1e-20"))
+        s = 1 / (2 * T)
+
+        def bracket(lam):
+            z = lam * s
+            x = z * mp.coth(z) if z != 0 else mp.mpf(1)
+            d = 0 if math.isinf(wc) else (lam / wc) ** 2
+            return x / (1 + d) - 1
+
+        Om = mp.sqrt(mp.mpc(g * g - w * w))
+        l1, l2 = -g + Om, -g - Om
+        d2 = (l2 - l1) ** 2
+        if w == 0:
+            alpha, alpha_p = mp.mpf(1), bracket(l2) / d2
+        else:
+            b1, bm, b2 = bracket(l1), bracket(w), bracket(l2)
+            alpha = 1 + w ** 4 / d2 * (b1 / l1 ** 2 - 2 * bm / w ** 2 + b2 / l2 ** 2)
+            alpha_p = (b1 - 2 * bm + b2) / d2
+        alpha, alpha_p = mp.re(alpha), mp.re(alpha_p)
+        delta = 4 * T * T * g * g * alpha * alpha_p - g * g / 4
+        return float(alpha), float(alpha_p), float(delta)
+
+
+class TestHighPrecisionReference:
+    """The batched kernel against a 30-digit evaluation of the closed forms:
+    under-, over- and critically damped, omega0 = 0, finite cutoff, and
+    kB*T/(hbar*gamma) from 1e-3 to 1e3."""
+
+    def test_grid(self):
+        mp = pytest.importorskip("mpmath")
+        g = 1.3
+        omegas = [0.0, 1e-3, 0.4, g, 2.5, 20.0]
+        cutoffs = [math.inf, 60.0]
+        Ts = np.geomspace(1e-3, 1e3, 7)
+        W, WC, TT = (a.ravel() for a in np.meshgrid(omegas, cutoffs, Ts, indexing="ij"))
+        p = SystemParams(omega0=W, T=TT, gamma=g, omega_c=WC)
+        d = diffusion_constants(p)
+        delta = positivity_delta(d).delta
+        for i in range(W.size):
+            a_ref, ap_ref, delta_ref = _mp_closed_forms(mp, W[i], TT[i], g, WC[i])
+            # the two-sided nudge is accurate to ~1e-6 at critical damping: its
+            # second difference of brackets amplifies their rounding, worst
+            # (1.04e-6 in alpha') where kB*T ~ 10 hbar*gamma puts the coth
+            # arguments just past the series radius
+            tol = 2e-6 if W[i] == g else 1e-10
+            assert d.source.alpha[i] == pytest.approx(a_ref, rel=tol), i
+            assert d.source.alpha_prime[i] == pytest.approx(ap_ref, rel=tol), i
+            # Delta is a difference of terms of size hbar^2 gamma^2/4 and up
+            scale = max(abs(delta_ref), g * g / 4)
+            assert abs(delta[i] - delta_ref) <= tol * scale, i
+
+            one = SystemParams(omega0=float(W[i]), T=float(TT[i]), gamma=g, omega_c=float(WC[i]))
+            ab = alpha_pair(one)
+            assert (ab.alpha, ab.alpha_prime, ab.residual_imag) == (
+                d.source.alpha[i], d.source.alpha_prime[i], d.source.residual_imag[i])
+            assert positivity_delta(diffusion_constants(one)).delta == delta[i]

@@ -12,6 +12,7 @@ from qbrown.core import (
     PoleError,
     Regime,
     SystemParams,
+    decay_rates,
     eigenvalues,
     xcothx,
     xcothx_m1,
@@ -41,10 +42,31 @@ class TestSystemParams:
         dict(omega0=1.0, T=1.0, kB=0.0),
         dict(omega0=1.0, T=1.0, omega_c=0.0),
         dict(omega0=1.0, T=1.0, omega_c=-3.0),
+        dict(omega0=math.nan, T=1.0),
+        dict(omega0=math.inf, T=1.0),
+        dict(omega0=1.0, T=math.nan),
+        dict(omega0=1.0, T=math.inf),
+        dict(omega0=1.0, T=1.0, gamma=math.inf),
+        dict(omega0=1.0, T=1.0, M=math.nan),
+        dict(omega0=1.0, T=1.0, omega_c=math.nan),
     ])
     def test_rejects_invalid(self, kw):
         with pytest.raises(ValueError):
             SystemParams(**kw)
+
+    @pytest.mark.parametrize("field,bad", [("omega0", math.nan), ("omega0", -1.0),
+                                           ("T", math.inf), ("gamma", 0.0)])
+    def test_batch_validates_every_element(self, field, bad):
+        kw = dict(omega0=1.0, T=1.0)
+        kw[field] = np.array([0.5, 2.0, bad])
+        with pytest.raises(ValueError):
+            SystemParams(**kw)
+
+    def test_batch_shape(self):
+        assert SystemParams(omega0=1.0, T=1.0).shape == ()
+        p = SystemParams(omega0=np.ones(3), T=np.ones((2, 1)), omega_c=math.inf)
+        assert p.shape == (2, 3)
+        assert p.is_critical().shape == (3,)
 
 
 class TestEigenvalues:
@@ -95,6 +117,18 @@ class TestEigenvalues:
         eig = eigenvalues(SystemParams(omega0=0.0, T=1.0, gamma=1.5))
         assert eig.lambda1 == 0.0
         assert eig.lambda2 == pytest.approx(-3.0, rel=1e-14)
+
+    def test_decay_rates_match_scalar_complex_formulas(self):
+        # the element-wise kernel reproduces the cmath forms bit for bit
+        rng = np.random.default_rng(7)
+        gs = 10.0 ** rng.uniform(-2, 2, 500)
+        ws = np.concatenate([gs[:100], 10.0 ** rng.uniform(-2, 2, 400)])
+        ws[:50] = 0.0
+        l1, l2, om = decay_rates(ws, gs)
+        for i, (w, g) in enumerate(zip(ws.tolist(), gs.tolist())):
+            Om = cmath.sqrt(complex(g * g - w * w))
+            lam1 = -(w * w) / (g + Om) if g >= w else -g + Om
+            assert (l1[i], l2[i], om[i]) == (lam1, -g - Om, Om)
 
 
 class TestXCothX:
@@ -155,6 +189,20 @@ class TestXCothX:
             tail = 2.0 * x * x / math.pi ** 2 * (1e-6 - 0.5e-12 + 1e-18 / 6.0)
             assert abs(partial - target) <= 2.1 * x * x / math.pi ** 2 * 1e-6
             assert abs(partial + tail - target) <= 1e-8 * max(1.0, abs(target))
+
+    def test_array_matches_scalar_elements(self):
+        # each element takes its own branch: series, exponential, negated
+        zs = np.array([0.0, 1e-4, 3e-3 - 4e-3j, 0.5, -2.0 + 0.3j, 1e-2, 40.0 - 700.0j,
+                       -700.0 + 40000.0j])
+        got = xcothx_m1(zs)
+        assert got.shape == zs.shape and got.dtype == complex
+        assert got.tolist() == [xcothx_m1(complex(z)) for z in zs]
+        assert type(xcothx_m1(0.5)) is complex
+        assert xcothx_m1(zs.reshape(2, 4)).shape == (2, 4)
+
+    def test_pole_rejected_in_array(self):
+        with pytest.raises(PoleError):
+            xcothx_m1(np.array([0.5, 1e-13 + 2j * math.pi]))
 
     def test_m1_matches_xcothx(self):
         # the roundtrip through 1 + ... costs an ulp of 1, which is the whole

@@ -1,5 +1,6 @@
 """Diffusion constants, the positivity functional, and the breakdown solver."""
 
+import logging
 import math
 
 import numpy as np
@@ -133,15 +134,15 @@ class TestPositivityDelta:
 
 
 def brute_force_tc(ratio, n_grid=10_000):
-    """Independent oracle: locate the sign change of Delta on a dense log grid."""
+    """Independent oracle: locate the sign change of Delta on a dense log grid
+    (the grid is one batched Delta evaluation; the search is its own)."""
     thetas = np.geomspace(1e-3, 1e3, n_grid)
+    rep = positivity_delta(diffusion_constants(params(ratio, thetas)))
     prev_sign = None
     crossings = []
-    for th in thetas:
-        rep = positivity_delta(diffusion_constants(params(ratio, float(th))))
-        sign = rep.delta > 0.0
+    for th, sign in zip(thetas.tolist(), (rep.delta > 0.0).tolist()):
         if prev_sign is not None and sign != prev_sign:
-            crossings.append(float(th))
+            crossings.append(th)
         prev_sign = sign
     assert len(crossings) == 1
     return crossings[0]
@@ -211,8 +212,55 @@ class TestTcCurve:
         tcs = np.array([t for _, t in pts])
         assert np.all(np.abs(np.diff(tcs) / tcs[:-1]) < 0.05)
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        serial = tc_curve(1e-2, 1e1, 8)
-        monkeypatch.setenv("QBROWN_THREADS", "4")
-        threaded = tc_curve(1e-2, 1e1, 8)
-        assert serial == threaded
+    def test_matches_single_ratio_solves(self):
+        # the lockstep solve gives every ratio the T_c of its own solve, bit for bit
+        pts = tc_curve(1e-2, 1e1, 8)
+        ratios = np.geomspace(1e-2, 1e1, 8)
+        assert [r for r, _ in pts] == ratios.tolist()
+        assert [tc for _, tc in pts] == [breakdown_temperature(float(r)) for r in ratios]
+
+
+class TestBatchedSolver:
+    def test_array_in_array_out(self):
+        ratios = np.array([[1e-3, 1.0], [0.3, 10.0]])
+        tcs = breakdown_temperature(ratios)
+        assert tcs.shape == (2, 2)
+        assert tcs[0, 0] == pytest.approx(TC_SMALL_RATIO, rel=1e-9)
+        assert tcs[0, 1] == pytest.approx(TC_RATIO_ONE, rel=1e-9)
+        assert type(breakdown_temperature(0.3)) is float
+        assert tcs[1, 0] == breakdown_temperature(0.3)
+
+    def test_bracket_error_names_the_failing_ratio(self):
+        # T_c(1e-3) ~ 0.42 lies below the bracket, T_c(10) inside it
+        with pytest.raises(BracketError) as err:
+            breakdown_temperature(np.array([10.0, 1e-3]), bracket=(1.0, 1000.0))
+        assert "omega0/gamma=0.001" in str(err.value)
+        assert len(err.value.scan) == 200
+        assert all(d > 0 for _, d in err.value.scan)
+
+    def test_exact_zero_ends_only_that_ratios_search(self):
+        # at this ratio a bisection midpoint has Delta == 0.0 exactly: the
+        # midpoint is returned, while the other ratios keep bisecting
+        r = 0.10215730584122548
+        tc = breakdown_temperature(r)
+        assert positivity_delta(diffusion_constants(params(r, tc))).delta == 0.0
+        batch = breakdown_temperature(np.array([0.1, r, 0.11]))
+        assert batch.tolist() == [breakdown_temperature(0.1), tc, breakdown_temperature(0.11)]
+
+    def test_rejects_non_finite_ratio(self):
+        for bad in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError):
+                breakdown_temperature(np.array([0.5, bad]))
+
+    def test_debug_log(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="qbrown.diffusion"):
+            breakdown_temperature(np.array([0.5, 1.0]))
+        (rec,) = [r for r in caplog.records if r.name == "qbrown.diffusion"]
+        msg = rec.getMessage()
+        assert "T_c of 2 ratios" in msg and "scan crossing index" in msg
+        assert "bisection iterations" in msg
+        # only omega0/gamma = 1 is critical: its 200 scan points and every
+        # lockstep iteration went through the nudge
+        lockstep = int(msg.split(" in lockstep")[0].split("(")[-1])
+        assert lockstep > 20
+        assert f"{200 + lockstep} critical-nudged elements" in msg
