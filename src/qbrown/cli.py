@@ -396,12 +396,9 @@ def _run_moments(cfg: RunConfig) -> int:
     n_steps = max(1, int(round(t_end / dt)))
     stride = max(1, n_steps // cfg.points)
     traj = evolve_numeric(s0, p, d, t_end, dt, stride=stride)
-    rows = []
-    for i in range(len(traj)):
-        t = float(traj.t[i])
-        a = analytic_solution(s0, p, d, t)
-        rows.append((t, a.q2, a.p2, a.qp,
-                     float(traj.q2[i]), float(traj.p2[i]), float(traj.qp[i])))
+    a = analytic_solution(s0, p, d, traj.t)
+    rows = list(zip(*(v.tolist() for v in (traj.t, a.q2, a.p2, a.qp,
+                                           traj.q2, traj.p2, traj.qp))))
     _emit(cfg, cfg.convention(), rows, xlabel="t")
     return 0
 
@@ -411,12 +408,12 @@ def _run_free_particle(cfg: RunConfig) -> int:
     s0 = MomentState(q2=1.0, p2=M * kB * T, qp=0.0)
     t_late = 100.0 / g
 
+    # the slope fit's times end at t_late, so one call gives both figures
+    ts = np.linspace(50.0 / g, t_late, 11)
+    fp = free_particle_longtime(s0, g, T, ts, M=M, hbar=hbar, kB=kB)
     p2_ref = M * hbar * g / math.tanh(hbar * g / (kB * T))
-    p2_val = free_particle_longtime(s0, g, T, t_late, M=M, hbar=hbar, kB=kB).p2
-
-    ts = np.linspace(50.0 / g, 100.0 / g, 11)
-    q2s = [free_particle_longtime(s0, g, T, float(t), M=M, hbar=hbar, kB=kB).q2 for t in ts]
-    slope = float(np.polyfit(ts, q2s, 1)[0])
+    p2_val = fp.p2[-1]
+    slope = float(np.polyfit(ts, fp.q2, 1)[0])
     slope_ref = kB * T / (M * g)
 
     p_small = SystemParams(omega0=1e-6 * g, T=T, gamma=g, M=M, hbar=hbar, kB=kB)
@@ -448,13 +445,12 @@ def _run_grid_validate(cfg: RunConfig) -> int:
     g0 = gaussian_state(s0, N=N, L=L, hbar=p.hbar)
     final, samples = grid_evolve(g0, p, d, t_end,
                                  sample_every=cfg.options.get("sample_every", 50))
+    a = analytic_solution(s0, p, d, np.array([s["t"] for s in samples]))
     rows = []
     worst = 0.0
-    for s in samples:
-        a = analytic_solution(s0, p, d, s["t"])
-        rows.append((s["t"], s["q2"], a.q2, s["p2"], a.p2, s["qp"], a.qp,
-                     s["trace"], s["herm"]))
-        worst = max(worst, abs(s["q2"] / a.q2 - 1.0), abs(s["p2"] / a.p2 - 1.0))
+    for s, q2, p2, qp in zip(samples, a.q2.tolist(), a.p2.tolist(), a.qp.tolist()):
+        rows.append((s["t"], s["q2"], q2, s["p2"], p2, s["qp"], qp, s["trace"], s["herm"]))
+        worst = max(worst, abs(s["q2"] / q2 - 1.0), abs(s["p2"] / p2 - 1.0))
     _emit(cfg, cfg.convention() + f" N={g0.N} L={g0.L:g}", rows, xlabel="t")
     if cfg.options.get("snapshot_out"):
         final.write_csv(cfg.options["snapshot_out"], params=p)
@@ -489,7 +485,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"qbrown: configuration error: {exc}", file=sys.stderr)
         return 1
-    except QbmError as exc:
+    except (QbmError, ArithmeticError) as exc:
+        # a bare ZeroDivisionError or OverflowError from a numeric step is a
+        # numerical failure, not a configuration error
         print(f"qbrown: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

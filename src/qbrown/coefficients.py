@@ -9,7 +9,9 @@ from its (lambda2 - lambda1)^-2 prefactor.
 
 from __future__ import annotations
 
+import cmath
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -18,12 +20,14 @@ import numpy as np
 
 from .core import (
     CRITICAL_NUDGE,
+    CRITICAL_TOL,
     SystemParams,
     TemperatureError,
     cdiv,
     cmul,
     decay_rates,
     xcothx_m1,
+    xcothx_m1_scalar,
 )
 
 logger = logging.getLogger(__name__)
@@ -74,6 +78,10 @@ def _alpha_raw(w, T, g, wc, hbar, kB) -> tuple[np.ndarray, np.ndarray]:
     is omega0^2 exactly, and evenness of xcothx makes the sign immaterial).
     At omega0 = 0, lambda1 = 0: the first and middle brackets vanish and
     alpha -> 1; only the lambda2 = -2*gamma bracket survives in alpha'.
+    alpha takes the value 1 wherever lambda1^2 is zero, which includes
+    omega0 > 0 so small that lambda1^2 underflows (omega0 below
+    ~1e-81*sqrt(2*gamma)): there the formula would divide 0 by 0, and its
+    terms are far below one ulp of 1.
     """
     l1, l2 = decay_rates(w, g)[:2]
     s = hbar / (2.0 * kB * T)
@@ -82,12 +90,13 @@ def _alpha_raw(w, T, g, wc, hbar, kB) -> tuple[np.ndarray, np.ndarray]:
     b2 = _bracket(l2 * s, l2, wc)
 
     d2 = cmul(l2 - l1, l2 - l1)
+    l1sq = cmul(l1, l1)
     prod = w * w  # lambda1*lambda2
-    # at omega0 = 0 these terms are 0/0; the branch below replaces them
-    terms = (cdiv(b1, cmul(l1, l1)) - cdiv(2.0 * bm, prod.astype(complex))
+    # where lambda1^2 = 0 these terms are 0/0; the branch below replaces them
+    terms = (cdiv(b1, l1sq) - cdiv(2.0 * bm, prod.astype(complex))
              + cdiv(b2, cmul(l2, l2)))
     alpha = 1.0 + cmul(cdiv((prod * prod).astype(complex), d2), terms)
-    alpha = np.where(w == 0.0, 1.0 + 0.0j, alpha)
+    alpha = np.where(l1sq == 0.0, 1.0 + 0.0j, alpha)
     alpha_prime = cdiv(b1 - 2.0 * bm + b2, d2)
     return alpha, alpha_prime
 
@@ -136,14 +145,58 @@ def alpha_arrays(p: SystemParams) -> AlphaPair:
                      residual.reshape(shape))
 
 
+def alpha_scalar(w: float, T: float, g: float, wc: float, hbar: float,
+                 kB: float) -> tuple[float, float, float]:
+    """alpha, alpha' and residual_imag of one system in Python ``complex``
+    arithmetic: the same closed forms, branches and rounding as
+    ``alpha_arrays``, without numpy's fixed cost per call."""
+    w, T, g, wc, hbar, kB = float(w), float(T), float(g), float(wc), float(hbar), float(kB)
+    if T <= 0.0:
+        raise TemperatureError("alpha, alpha' are only defined for T > 0")
+    finite = wc != math.inf
+
+    def bracket(z: complex, lam: complex) -> complex:
+        x = xcothx_m1_scalar(z)
+        if not finite:
+            return x
+        d = (lam / wc) ** 2
+        return (x - d) / (1.0 + d)
+
+    def raw(w: float) -> tuple[complex, complex]:
+        Om = cmath.sqrt(complex(g * g - w * w))
+        l1 = -(w * w) / (g + Om) if g >= w else -g + Om
+        l2 = -g - Om
+        s = hbar / (2.0 * kB * T)
+        b1, bm, b2 = bracket(l1 * s, l1), bracket(w * s, complex(w)), bracket(l2 * s, l2)
+        d2 = (l2 - l1) ** 2
+        alpha_prime = (b1 - 2.0 * bm + b2) / d2
+        if l1 * l1 == 0.0:
+            return 1.0 + 0.0j, alpha_prime
+        prod = w * w
+        alpha = 1.0 + (prod * prod / d2) * (b1 / (l1 * l1) - 2.0 * bm / prod + b2 / (l2 * l2))
+        return alpha, alpha_prime
+
+    if abs(g - w) <= CRITICAL_TOL * g:
+        (a_hi, ap_hi), (a_lo, ap_lo) = (raw(w * (1.0 + CRITICAL_NUDGE)),
+                                        raw(w * (1.0 - CRITICAL_NUDGE)))
+        a, ap = 0.5 * (a_hi + a_lo), 0.5 * (ap_hi + ap_lo)
+    else:
+        a, ap = raw(w)
+    residual = max(abs(a.imag) / max(abs(a.real), _TINY),
+                   abs(ap.imag) / max(abs(ap.real), _TINY))
+    if (a.real <= 0.0 or ap.real < 0.0) and logger.isEnabledFor(logging.DEBUG):
+        logger.debug("non-positive coefficients at 1 of 1 points")
+    return a.real, ap.real, residual
+
+
 def alpha_pair(p: SystemParams) -> AlphaPair:
-    """Dissipation coefficients of one system, as floats; ``alpha_arrays``
-    evaluates a batch."""
+    """Dissipation coefficients of one system, as floats, from
+    ``alpha_scalar``; ``alpha_arrays`` evaluates a batch to the same bits."""
     if p.shape:
         raise ValueError("alpha_pair takes one system; use alpha_arrays for a batch")
-    ab = alpha_arrays(p)
-    return AlphaPair(float(ab.alpha), float(ab.alpha_prime), ab.cutoff_mode,
-                     float(ab.residual_imag))
+    a, ap, residual = alpha_scalar(p.omega0, p.T, p.gamma, p.omega_c, p.hbar, p.kB)
+    mode = CutoffMode.INFINITE if p.omega_c == math.inf else CutoffMode.FINITE
+    return AlphaPair(a, ap, mode, residual)
 
 
 def alpha_prime_free(gamma: float, T: float, hbar: float = 1.0, kB: float = 1.0) -> float:

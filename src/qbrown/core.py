@@ -4,11 +4,14 @@ Everything here is a pure function of its inputs; the dataclasses are frozen
 and safe to share across threads.  The kernels take numpy arrays and work
 element by element; their complex products and quotients are rounded exactly
 as Python's ``complex`` rounds them, so a batch evaluation reproduces a
-loop of scalar evaluations bit for bit.
+loop of scalar evaluations bit for bit.  A single value skips numpy and is
+evaluated in Python ``complex`` arithmetic, which is what the batch path
+reproduces.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -104,12 +107,15 @@ class SystemParams:
             raise ValueError("T must be finite and non-negative")
         if not _holds(self.omega_c > 0.0):
             raise ValueError("omega_c must be positive (math.inf removes the cutoff)")
+        fields = (self.omega0, self.T, self.gamma, self.M, self.omega_c, self.hbar, self.kB)
+        # all Python numbers is one system, which stays on the numpy-free paths
+        scalar = all(isinstance(v, (float, int)) for v in fields)
+        object.__setattr__(self, "_shape", () if scalar else np.broadcast(*fields).shape)
 
     @property
     def shape(self) -> tuple:
         """Broadcast shape of the fields; () for a single system."""
-        return np.broadcast(self.omega0, self.T, self.gamma, self.M, self.omega_c,
-                            self.hbar, self.kB).shape
+        return self._shape
 
     @property
     def chi(self) -> float:
@@ -211,8 +217,11 @@ def xcothx_m1(z):
     The coefficient brackets of the dissipation formulas are differences of
     this quantity at O(z^2) scale; returning the series directly keeps their
     high-temperature cancellations at full precision.  Each element takes
-    its own branch; a scalar argument returns a complex.
+    its own branch; a Python or numpy scalar returns a complex from
+    ``xcothx_m1_scalar``.
     """
+    if isinstance(z, (complex, float, int)):
+        return xcothx_m1_scalar(complex(z))
     z = np.asarray(z, dtype=complex)
     small = np.hypot(z.real, z.imag) < _SERIES_RADIUS
     w = np.where(z.real < 0.0, -z, z)
@@ -231,3 +240,19 @@ def xcothx_m1(z):
         e = np.exp(-2.0 * w)  # |e| <= 1, never overflows
         out = np.where(small, series, cdiv(cmul(w, 1.0 + e), 1.0 - e) - 1.0)
     return complex(out) if out.ndim == 0 else out
+
+
+def xcothx_m1_scalar(z: complex) -> complex:
+    """xcothx_m1 of one complex number in Python ``complex`` arithmetic, with
+    the same branches and rounding as the array path."""
+    if abs(z) < _SERIES_RADIUS:
+        z2 = z * z
+        return z2 * (1.0 / 3.0 + z2 * (-1.0 / 45.0 + z2 * (2.0 / 945.0)))
+    w = -z if z.real < 0.0 else z
+    if not math.isfinite(w.imag):  # an overflowed argument; NaN, as in the array path
+        return complex(math.nan, math.nan)
+    k = round(w.imag / math.pi)
+    if k != 0 and math.hypot(w.real, w.imag - k * math.pi) < _POLE_TOL:
+        raise PoleError(f"argument {w} lies within {_POLE_TOL} of the pole {k}*i*pi")
+    e = cmath.exp(-2.0 * w)  # |e| <= 1, never overflows
+    return w * (1.0 + e) / (1.0 - e) - 1.0

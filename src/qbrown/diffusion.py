@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import AlphaPair, alpha_arrays, alpha_pair
-from .core import BracketError, SystemParams, TemperatureError
+from .core import BracketError, SystemParams, TemperatureError, _holds
 
 logger = logging.getLogger(__name__)
 
@@ -74,9 +74,10 @@ def high_t_diffusion(p: SystemParams) -> DiffusionConstants:
     """Closed high-temperature forms, independent of omega0.
 
     Useful as an asymptotic oracle: the full constants converge to these to
-    better than 1% once kB*T >~ 50 hbar*max(gamma, omega0).
+    better than 1% once kB*T >~ 50 hbar*max(gamma, omega0).  A batch of
+    systems gives array fields.
     """
-    if p.T <= 0.0:
+    if not _holds(p.T > 0.0):
         raise TemperatureError("high-T diffusion constants need T > 0")
     kT = p.kB * p.T
     g = p.gamma
@@ -100,11 +101,20 @@ def positivity_delta(d: DiffusionConstants) -> PositivityReport:
     p = d.params
     hg = p.hbar * p.gamma
     a = d.Dpp * d.Dqq / (hg * hg)
-    b = np.float_power(d.Dpq / hg, 2)  # libm pow, as the float ** operator rounds it
-    delta = np.where(np.maximum(np.abs(a), np.abs(b)) < 1e6,
-                     (a - b - 0.25) * hg * hg,
-                     d.Dpp * d.Dqq - d.Dpq * d.Dpq - 0.25 * hg * hg)
-    if delta.ndim == 0:
+    if p.shape:
+        b = np.float_power(d.Dpq / hg, 2)  # libm pow, as the float ** operator rounds it
+        delta = np.where(np.maximum(np.abs(a), np.abs(b)) < 1e6,
+                         (a - b - 0.25) * hg * hg,
+                         d.Dpp * d.Dqq - d.Dpq * d.Dpq - 0.25 * hg * hg)
+    else:
+        try:
+            b = (d.Dpq / hg) ** 2
+        except OverflowError:  # np.float_power gives inf
+            b = math.inf
+        if abs(a) < 1e6 and abs(b) < 1e6:
+            delta = (a - b - 0.25) * hg * hg
+        else:
+            delta = d.Dpp * d.Dqq - d.Dpq * d.Dpq - 0.25 * hg * hg
         delta = float(delta)
     return PositivityReport(delta, delta > 0.0, p.T, p)
 

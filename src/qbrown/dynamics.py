@@ -21,6 +21,7 @@ from .core import (
     StateError,
     StepSizeError,
     SystemParams,
+    _holds,
 )
 from .diffusion import DiffusionConstants, diffusion_constants
 
@@ -29,7 +30,10 @@ CSV_FLOAT_FMT = "%.17g"
 
 @dataclass(frozen=True)
 class MomentState:
-    """<q^2>, <p^2> and the symmetrized correlation <qp+pq> at time t."""
+    """<q^2>, <p^2> and the symmetrized correlation <qp+pq> at time t.
+
+    ``equilibrium_moments`` of a batch of systems gives array fields.
+    """
 
     q2: float
     p2: float
@@ -123,39 +127,47 @@ def evolve_numeric(
     if stride < 1:
         raise ValueError("stride must be >= 1")
 
-    A = np.array([
-        [0.0, 0.0, 1.0 / p.M],
-        [0.0, -4.0 * p.gamma, -p.M * p.omega0 ** 2],
-        [-2.0 * p.M * p.omega0 ** 2, 2.0 / p.M, -2.0 * p.gamma],
-    ])
-    b = np.array([2.0 * d.Dqq, 2.0 * d.Dpp, -4.0 * d.Dpq])
+    # y' = A y + b on three Python floats: numpy's fixed cost per call is
+    # larger than the whole step
+    a02 = 1.0 / p.M
+    a11, a12 = -4.0 * p.gamma, -p.M * p.omega0 ** 2
+    a20, a21, a22 = -2.0 * p.M * p.omega0 ** 2, 2.0 / p.M, -2.0 * p.gamma
+    b0, b1, b2 = 2.0 * d.Dqq, 2.0 * d.Dpp, -4.0 * d.Dpq
 
-    def rhs(y):
-        return A @ y + b
+    def rhs(q2, p2, qp):
+        return a02 * qp + b0, a11 * p2 + a12 * qp + b1, a20 * q2 + a21 * p2 + a22 * qp + b2
 
     n_steps = max(1, int(round(t_end / dt)))
-    y = np.array([s0.q2, s0.p2, s0.qp])
-    ts = [0.0]
-    ys = [y.copy()]
+    h, h6 = 0.5 * dt, dt / 6.0
+    y0, y1, y2 = float(s0.q2), float(s0.p2), float(s0.qp)
+    ts, ys = [0.0], [(y0, y1, y2)]
     for k in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k10, k11, k12 = rhs(y0, y1, y2)
+        k20, k21, k22 = rhs(y0 + h * k10, y1 + h * k11, y2 + h * k12)
+        k30, k31, k32 = rhs(y0 + h * k20, y1 + h * k21, y2 + h * k22)
+        k40, k41, k42 = rhs(y0 + dt * k30, y1 + dt * k31, y2 + dt * k32)
+        y0 += h6 * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
+        y1 += h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+        y2 += h6 * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
         if (k + 1) % stride == 0 or k == n_steps - 1:
             ts.append((k + 1) * dt)
-            ys.append(y.copy())
+            ys.append((y0, y1, y2))
     out = np.array(ys)
     return MomentTrajectory(np.array(ts), out[:, 0], out[:, 1], out[:, 2])
 
 
 def equilibrium_moments(p: SystemParams, d: DiffusionConstants) -> MomentState:
-    """Fixed point of the moment ODEs (finite omega0 only)."""
-    if p.omega0 <= 0.0:
+    """Fixed point of the moment ODEs (finite omega0 only).
+
+    For a batch of systems (array fields, see SystemParams) every field is
+    an array, equal element by element to the calls for one system.
+    """
+    if not _holds(p.omega0 > 0.0):
         raise NoEquilibriumError(
             "the free particle has no equilibrium <q^2>; use free_particle_longtime")
-    M, g, w2 = p.M, p.gamma, p.omega0 ** 2
+    # np.float_power rounds as the float ** operator does (libm pow)
+    w2 = np.float_power(p.omega0, 2) if p.shape else p.omega0 ** 2
+    M, g = p.M, p.gamma
     p2 = (d.Dpp + M * M * w2 * d.Dqq) / (2.0 * g)
     q2 = (d.Dpp - 4.0 * M * g * d.Dpq + M * M * (4.0 * g * g + w2) * d.Dqq) / (
         2.0 * M * M * g * w2)
@@ -217,62 +229,73 @@ def analytic_coefficients(
     return AnalyticCoefficients(C[0], C[1], C[2], Omega, eq, c2_ref)
 
 
-def _analytic_eval(s0, p, d, t):
+def _modal_moments(s0: MomentState, p: SystemParams, d: DiffusionConstants,
+                   t: np.ndarray) -> np.ndarray:
+    """(len(t), 3) complex moments (q2, p2, qp) of the modal solution, from
+    one coefficient solve.  Each row is V @ (C * exp(rates * t)), the same
+    matrix-vector product per time, so a row does not depend on the other
+    times in ``t``."""
     co = analytic_coefficients(s0, p, d)
     V, rates = _mode_matrix(p, co.Omega)
     C = np.array([co.C1, co.C2, co.C3])
-    vec = np.array([co.equilibrium.q2, co.equilibrium.p2, co.equilibrium.qp],
-                   dtype=complex) + V @ (C * np.exp(rates * t))
-    return vec
+    eq = np.array([co.equilibrium.q2, co.equilibrium.p2, co.equilibrium.qp], dtype=complex)
+    modes = C * np.exp(rates * t[:, None])
+    return eq + (V @ modes[:, :, None])[:, :, 0]
 
 
 def analytic_solution(
-    s0: MomentState, p: SystemParams, d: DiffusionConstants, t: float
-) -> MomentState:
+    s0: MomentState, p: SystemParams, d: DiffusionConstants, t
+) -> Union[MomentState, MomentTrajectory]:
     """Moments at time t from the exact modal solution.
 
-    At critical damping (lambda2 - lambda1 = 0) the result is the two-sided
-    average of evaluations at omega0*(1 +/- 1e-7); elsewhere the conjugate
-    decay modes cancel to a real answer with residue below ~1e-9.
+    ``t`` may be an array of times: the result is then a MomentTrajectory
+    on those times, from one coefficient solve, equal to the calls for one
+    time at a time.  At critical damping (lambda2 - lambda1 = 0) the result
+    is the two-sided average of evaluations at omega0*(1 +/- 1e-7);
+    elsewhere the conjugate decay modes cancel to a real answer with residue
+    below ~1e-9.
     """
+    ts = np.asarray(t, dtype=float).reshape(-1)
     if p.is_critical():
-        hi = _analytic_eval(s0, replace(p, omega0=p.omega0 * (1.0 + CRITICAL_NUDGE)), d, t)
-        lo = _analytic_eval(s0, replace(p, omega0=p.omega0 * (1.0 - CRITICAL_NUDGE)), d, t)
+        hi = _modal_moments(s0, replace(p, omega0=p.omega0 * (1.0 + CRITICAL_NUDGE)), d, ts)
+        lo = _modal_moments(s0, replace(p, omega0=p.omega0 * (1.0 - CRITICAL_NUDGE)), d, ts)
         vec = 0.5 * (hi + lo)
     else:
-        vec = _analytic_eval(s0, p, d, t)
-    return MomentState(vec[0].real, vec[1].real, vec[2].real, t=t)
+        vec = _modal_moments(s0, p, d, ts)
+    if np.ndim(t) == 0:
+        return MomentState(vec[0, 0].real, vec[0, 1].real, vec[0, 2].real, t=t)
+    return MomentTrajectory(ts, vec[:, 0].real, vec[:, 1].real, vec[:, 2].real)
 
 
 def free_particle_longtime(
     s0: MomentState,
     gamma: float,
     T: float,
-    t: float,
+    t,
     M: float = 1.0,
     hbar: float = 1.0,
     kB: float = 1.0,
-) -> MomentState:
+) -> Union[MomentState, MomentTrajectory]:
     """Free-particle moments via the omega0 -> 0 limit of the oscillator solution.
 
     Evaluates the full analytic solution at omega0 = 1e-6*gamma and
     1e-6*gamma/sqrt(2) and Richardson-extrapolates in omega0^2.  Long-time
     behaviour: <p^2> -> M hbar gamma coth(hbar gamma / kB T) and <q^2> grows
-    diffusively with slope kB*T/(M*gamma).
+    diffusively with slope kB*T/(M*gamma).  ``t`` may be an array of times,
+    as in ``analytic_solution``; the diffusion constants are then computed
+    once per omega0, not once per time.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
 
-    def at(omega0: float) -> MomentState:
+    def at(omega0: float):
         p = SystemParams(omega0=omega0, T=T, gamma=gamma, M=M, hbar=hbar, kB=kB)
         return analytic_solution(s0, p, diffusion_constants(p), t)
 
     w = 1e-6 * gamma
     f_h = at(w)                      # step h = w^2 in the omega0^2 expansion
     f_h2 = at(w / math.sqrt(2.0))    # step h/2
-    return MomentState(
-        2.0 * f_h2.q2 - f_h.q2,
-        2.0 * f_h2.p2 - f_h.p2,
-        2.0 * f_h2.qp - f_h.qp,
-        t=t,
-    )
+    q2, p2, qp = (2.0 * f_h2.q2 - f_h.q2, 2.0 * f_h2.p2 - f_h.p2, 2.0 * f_h2.qp - f_h.qp)
+    if isinstance(f_h, MomentState):
+        return MomentState(q2, p2, qp, t=t)
+    return MomentTrajectory(f_h.t, q2, p2, qp)

@@ -59,6 +59,19 @@ class TestCoeffs:
             ab = alpha_pair(SystemParams(omega0=float(r[1]), T=0.7, omega_c=40.0))
             assert r[2:] == ["%.17g" % v for v in (ab.alpha, ab.alpha_prime, ab.residual_imag)]
 
+    def test_underflowing_omega0_gives_finite_rows(self, capsys):
+        # omega0^2 (1e-200) or lambda1^2 (1e-100) underflows: alpha takes its
+        # omega0 = 0 value 1 instead of 0/0
+        for omega0 in ("1e-200", "1e-100"):
+            for cmd in ("coeffs", "diffusion"):
+                code, out, _ = run_cli([cmd, "--omega0", omega0, "--sweep", "T=0.5:1",
+                                        "--points", "2"], capsys)
+                assert code == 0
+                _, _, rows = parse_csv(out)
+                assert all(math.isfinite(float(v)) for r in rows for v in r[2:6])
+                if cmd == "coeffs":
+                    assert [r[2] for r in rows] == ["1", "1"]
+
     def test_zero_temperature_is_numerical_failure(self, capsys):
         # sweep another variable so the fixed T=0 actually reaches the kernel
         code, _, err = run_cli(
@@ -168,6 +181,14 @@ class TestMomentsCmd:
         _, _, rows = parse_csv(out)
         v = rows[1][1]
         assert float(v) == float(repr(float(v)))  # full precision survives
+
+    def test_bare_arithmetic_error_is_numerical_failure(self, capsys):
+        # M^2 underflows to 0 in the equilibrium <q^2>: a ZeroDivisionError,
+        # reported as exit 2, not as a traceback and Python's exit 1
+        code, out, err = run_cli(["moments", "--M", "1e-300", "--t-end", "0.1"], capsys)
+        assert code == 2
+        assert "numerical failure: ZeroDivisionError" in err
+        assert out == ""
 
 
 class TestFreeParticleCmd:

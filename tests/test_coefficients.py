@@ -1,13 +1,18 @@
 """Dissipation coefficients alpha, alpha' against limits and pinned values."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
-from qbrown.coefficients import CutoffMode, alpha_arrays, alpha_pair, alpha_prime_free
-from qbrown.core import SystemParams, TemperatureError, xcothx
+from qbrown.coefficients import (
+    CutoffMode,
+    alpha_arrays,
+    alpha_pair,
+    alpha_prime_free,
+    alpha_scalar,
+)
+from qbrown.core import PoleError, SystemParams, TemperatureError, xcothx
 from qbrown.diffusion import diffusion_constants, positivity_delta
 
 # 40-digit evaluation of the closed forms at gamma=1, omega0=2, kB*T=hbar*gamma,
@@ -138,48 +143,6 @@ class TestAlphaPrimeFree:
         assert v == pytest.approx(ref, rel=1e-12)
 
 
-def _scalar_alpha_reference(w, T, g, wc, hbar=1.0, kB=1.0):
-    """The scalar complex-arithmetic evaluation the batched kernel replaced:
-    one system per call, Python complex numbers throughout."""
-    w, T, g, wc, hbar, kB = map(float, (w, T, g, wc, hbar, kB))
-
-    def bracket(z, lam):
-        z = complex(z)
-        if abs(z) < 1e-2:
-            z2 = z * z
-            x = z2 * (1.0 / 3.0 + z2 * (-1.0 / 45.0 + z2 * (2.0 / 945.0)))
-        else:
-            z = -z if z.real < 0.0 else z
-            e = cmath.exp(-2.0 * z)
-            x = z * (1.0 + e) / (1.0 - e) - 1.0
-        if math.isinf(wc):
-            return x
-        d = (lam / wc) ** 2
-        return (x - d) / (1.0 + d)
-
-    def raw(w):
-        Om = cmath.sqrt(complex(g * g - w * w))
-        l1 = -(w * w) / (g + Om) if g >= w else -g + Om
-        l2 = -g - Om
-        s = hbar / (2.0 * kB * T)
-        if w == 0.0:
-            return 1.0 + 0.0j, bracket(l2 * s, l2) / (l2 - l1) ** 2
-        b1, bm, b2 = bracket(l1 * s, l1), bracket(w * s, complex(w)), bracket(l2 * s, l2)
-        d2 = (l2 - l1) ** 2
-        prod = w * w
-        alpha = 1.0 + (prod * prod / d2) * (b1 / (l1 * l1) - 2.0 * bm / prod + b2 / (l2 * l2))
-        return alpha, (b1 - 2.0 * bm + b2) / d2
-
-    if abs(g - w) <= 1e-9 * g:
-        (a_hi, ap_hi), (a_lo, ap_lo) = raw(w * (1.0 + 1e-7)), raw(w * (1.0 - 1e-7))
-        a, ap = 0.5 * (a_hi + a_lo), 0.5 * (ap_hi + ap_lo)
-    else:
-        a, ap = raw(w)
-    residual = max(abs(a.imag) / max(abs(a.real), 1e-300),
-                   abs(ap.imag) / max(abs(ap.real), 1e-300))
-    return a.real, ap.real, residual
-
-
 class TestBatchedKernel:
     def test_reproduces_scalar_complex_arithmetic_bit_for_bit(self):
         rng = np.random.default_rng(99)
@@ -188,13 +151,16 @@ class TestBatchedKernel:
         w = g * 10.0 ** rng.uniform(-3, 2, n)
         w[:20] = 0.0
         w[20:40] = g[20:40]                      # critical
+        w[40:60] = np.geomspace(1e-300, 1e-60, 20)  # lambda1^2 underflows below ~1e-81
         T = 10.0 ** rng.uniform(-3, 3, n)
         wc = np.where(rng.uniform(size=n) < 0.5, 10.0 ** rng.uniform(0, 4, n), math.inf)
         hbar, kB = 10.0 ** rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-1, 1, n)
         ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar, kB=kB))
+        assert np.all(np.isfinite(ab.alpha)) and np.all(np.isfinite(ab.alpha_prime))
         for i in range(n):
-            want = _scalar_alpha_reference(w[i], T[i], g[i], wc[i], hbar[i], kB[i])
+            want = alpha_scalar(w[i], T[i], g[i], wc[i], hbar[i], kB[i])
             assert (ab.alpha[i], ab.alpha_prime[i], ab.residual_imag[i]) == want, i
+            assert type(want[0]) is float
 
     def test_shapes_and_scalar_wrapper(self):
         p = SystemParams(omega0=np.array([0.5, 2.0]), T=np.array([[0.3], [3.0]]))
@@ -210,6 +176,13 @@ class TestBatchedKernel:
     def test_zero_temperature_anywhere_rejected(self):
         with pytest.raises(TemperatureError):
             alpha_arrays(SystemParams(omega0=1.0, T=np.array([1.0, 0.0])))
+
+    def test_pole_rejected_on_both_paths(self):
+        # gamma = 1e-13 at omega0 = pi puts lambda1*hbar/(2 kB T) 1e-13 from i*pi
+        with pytest.raises(PoleError):
+            alpha_pair(SystemParams(omega0=math.pi, T=0.5, gamma=1e-13))
+        with pytest.raises(PoleError):
+            alpha_arrays(SystemParams(omega0=np.array([2.0, math.pi]), T=0.5, gamma=1e-13))
 
 
 def _mp_closed_forms(mp, w, T, g, wc):

@@ -203,6 +203,8 @@ class TestXCothX:
     def test_pole_rejected_in_array(self):
         with pytest.raises(PoleError):
             xcothx_m1(np.array([0.5, 1e-13 + 2j * math.pi]))
+        with pytest.raises(PoleError):
+            xcothx_m1(1e-13 + 2j * math.pi)
 
     def test_m1_matches_xcothx(self):
         # the roundtrip through 1 + ... costs an ulp of 1, which is the whole

@@ -2,12 +2,14 @@
 
 import logging
 import math
+import statistics
+import time
 
 import numpy as np
 import pytest
 
 from qbrown.coefficients import alpha_prime_free
-from qbrown.core import BracketError, SystemParams
+from qbrown.core import BracketError, SystemParams, TemperatureError
 from qbrown.diffusion import (
     DiffusionConstants,
     breakdown_temperature,
@@ -90,6 +92,16 @@ class TestHighTDiffusion:
         h2 = high_t_diffusion(params(0.1, 42.0))
         assert (h1.Dpp, h1.Dqq, h1.Dpq) == (h2.Dpp, h2.Dqq, h2.Dpq)
 
+    def test_batch_matches_scalar_calls(self):
+        T, M, g = np.array([0.5, 7.0, 42.0]), np.array([1.0, 2.0, 0.3]), np.array([1.0, 0.4, 3.0])
+        h = high_t_diffusion(SystemParams(omega0=1.0, T=T, M=M, gamma=g, hbar=2.0))
+        for i in range(3):
+            one = high_t_diffusion(SystemParams(omega0=1.0, T=float(T[i]), M=float(M[i]),
+                                                gamma=float(g[i]), hbar=2.0))
+            assert (h.Dpp[i], h.Dqq[i], h.Dpq[i]) == (one.Dpp, one.Dqq, one.Dpq)
+        with pytest.raises(TemperatureError):
+            high_t_diffusion(params(1.0, np.array([1.0, 0.0])))
+
 
 class TestPositivityDelta:
     def test_high_t_constant(self):
@@ -119,6 +131,36 @@ class TestPositivityDelta:
         a, ap = d.source.alpha, d.source.alpha_prime
         want = 4.0 * (p.T * p.gamma) ** 2 * a * ap - 0.25 * p.gamma ** 2
         assert positivity_delta(d).delta == pytest.approx(want, rel=1e-10)
+
+    def test_scalar_path_matches_batch(self):
+        # one system is evaluated in Python floats, a batch in numpy; both
+        # sides of the 1e6 factoring threshold give the same bits.  Elements
+        # 2 (only Dpq^2 large) and 3 (both terms large) round differently on
+        # the two sides of the threshold
+        Dpp = np.array([0.5, 3.0, 3.3, 1.7e3, 1e-4])
+        Dqq = np.array([0.6, 0.1, 0.77, 3.1e3, 1e5])
+        Dpq = np.array([0.1, -0.4, 2345.678, 1.1e3, 1e2])
+        hbar = np.array([1.0, 0.3, 1.3, 0.9, 5.0])
+        batch = positivity_delta(DiffusionConstants(
+            Dpp, Dqq, Dpq, params=SystemParams(omega0=1.0, T=1.0, hbar=hbar)))
+        for i in range(5):
+            one = positivity_delta(DiffusionConstants(
+                float(Dpp[i]), float(Dqq[i]), float(Dpq[i]),
+                params=SystemParams(omega0=1.0, T=1.0, hbar=float(hbar[i]))))
+            assert type(one.delta) is float
+            assert (one.delta, one.positive) == (batch.delta[i], batch.positive[i])
+
+    def test_single_system_cost(self):
+        # one system runs in Python floats, ~15 us a chain on a 2-core host;
+        # the array kernel costs ~450 us for one system, so 100 us catches a
+        # return to it even in the host's slow phase
+        def per_call():
+            t0 = time.process_time()
+            for _ in range(200):
+                positivity_delta(diffusion_constants(SystemParams(omega0=0.3, T=0.5)))
+            return (time.process_time() - t0) / 200
+
+        assert statistics.median(per_call() for _ in range(5)) < 100e-6
 
     def test_scale_covariance(self):
         # hbar -> s*hbar with T -> s*T leaves Delta/(hbar*gamma)^2 invariant

@@ -32,6 +32,34 @@ REGIME_PARAMS = [
 ]
 
 
+def numpy_rk4(s0, p, d, t_end, dt, stride):
+    """The RK4 integrator on 3-element numpy arrays that the float stepping
+    replaced, kept as its reference."""
+    A = np.array([
+        [0.0, 0.0, 1.0 / p.M],
+        [0.0, -4.0 * p.gamma, -p.M * p.omega0 ** 2],
+        [-2.0 * p.M * p.omega0 ** 2, 2.0 / p.M, -2.0 * p.gamma],
+    ])
+    b = np.array([2.0 * d.Dqq, 2.0 * d.Dpp, -4.0 * d.Dpq])
+
+    def rhs(y):
+        return A @ y + b
+
+    n_steps = max(1, int(round(t_end / dt)))
+    y = np.array([s0.q2, s0.p2, s0.qp])
+    ts, ys = [0.0], [y.copy()]
+    for k in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % stride == 0 or k == n_steps - 1:
+            ts.append((k + 1) * dt)
+            ys.append(y.copy())
+    return np.array(ts), np.array(ys)
+
+
 def setup(p):
     d = diffusion_constants(p)
     eq = equilibrium_moments(p, d)
@@ -111,6 +139,19 @@ class TestEvolveNumeric:
         ratio = err(0.004) / err(0.002)
         assert 14.0 <= ratio <= 18.0
 
+    def test_float_stepping_matches_numpy_reference(self):
+        # the CLI's default moments run (critical damping, 2000 steps, every
+        # 10th sampled) and an underdamped one with a correlated start
+        for p, s0 in ((SystemParams(omega0=1.0, T=1.0), MomentState(1.0, 1.0, 0.0)),
+                      (SystemParams(omega0=2.2, T=0.7), MomentState(1.5, 0.8, -0.05))):
+            d = diffusion_constants(p)
+            traj = evolve_numeric(s0, p, d, 10.0, 0.005 / max(p.gamma, p.omega0), stride=10)
+            ts, ref = numpy_rk4(s0, p, d, 10.0, 0.005 / max(p.gamma, p.omega0), 10)
+            assert traj.t.tolist() == ts.tolist()
+            got = np.stack([traj.q2, traj.p2, traj.qp], axis=1)
+            scale = np.abs(ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
     def test_fixed_point_unique_from_20_starts(self):
         p = SystemParams(omega0=1.3, T=0.8)
         d = diffusion_constants(p)
@@ -158,11 +199,16 @@ class TestAnalyticSolution:
             n = int(round(t_end / dt))
             traj = evolve_numeric(s0, p, d, t_end, dt, stride=max(1, n // 100))
             scale = max(eq.q2, eq.p2, s0.q2, s0.p2)
+            # one solve for every sample time equals a solve per time
+            batch = analytic_solution(s0, p, d, traj.t)
+            assert batch.t.tolist() == traj.t.tolist()
             for i in range(len(traj)):
                 a = analytic_solution(s0, p, d, float(traj.t[i]))
                 assert abs(traj.q2[i] - a.q2) < 1e-6 * scale
                 assert abs(traj.p2[i] - a.p2) < 1e-6 * scale
                 assert abs(traj.qp[i] - a.qp) < 1e-6 * scale
+                for got, want in ((batch.q2[i], a.q2), (batch.p2[i], a.p2), (batch.qp[i], a.qp)):
+                    assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_underdamped_outputs_real(self):
         p = SystemParams(omega0=7.0, T=0.6)
@@ -229,6 +275,21 @@ class TestEquilibrium:
         with pytest.raises(NoEquilibriumError):
             equilibrium_moments(SystemParams(omega0=0.0, T=1.0), d)
 
+    def test_batch_matches_scalar_calls(self):
+        omega0 = np.array([0.3, 1.0, 2.0, 7.0])
+        T = np.array([[0.4], [3.0]])
+        p = SystemParams(omega0=omega0, T=T, M=np.array([1.0, 2.5, 0.5, 1.0]))
+        eq = equilibrium_moments(p, diffusion_constants(p))
+        assert eq.q2.shape == eq.p2.shape == eq.qp.shape == (2, 4)
+        for i in range(2):
+            for j in range(4):
+                one = SystemParams(omega0=float(omega0[j]), T=float(T[i, 0]), M=float(p.M[j]))
+                want = equilibrium_moments(one, diffusion_constants(one))
+                assert (eq.q2[i, j], eq.p2[i, j], eq.qp[i, j]) == (want.q2, want.p2, want.qp)
+        with pytest.raises(NoEquilibriumError):
+            q = SystemParams(omega0=np.array([1.0, 0.0]), T=1.0)
+            equilibrium_moments(q, diffusion_constants(q))
+
     def test_uncertainty_above_tc(self):
         # equilibrium states above breakdown respect u >= hbar^2/4
         from qbrown.diffusion import breakdown_temperature
@@ -256,6 +317,11 @@ class TestFreeParticle:
         s0 = MomentState(1.0, 1.0, 0.0)
         ts = np.linspace(50.0, 100.0, 11)
         q2s = [free_particle_longtime(s0, 1.0, 1.0, float(t)).q2 for t in ts]
+        # an array of times gives the per-time values
+        batch = free_particle_longtime(s0, 1.0, 1.0, ts)
+        assert batch.t.tolist() == ts.tolist()
+        for got, want in zip(batch.q2, q2s):
+            assert abs(got - want) <= 1e-15 * abs(want)
         slope = np.polyfit(ts, q2s, 1)[0]
         assert slope == pytest.approx(1.0, rel=0.01)
         # late-time growth is genuinely linear
