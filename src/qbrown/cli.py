@@ -8,9 +8,9 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,11 +27,15 @@ from .dynamics import (
     evolve_numeric,
     free_particle_longtime,
 )
+from .grid import BoundaryMassWarning, gaussian_state, plan_steps, suggested_half_width
 from .grid import evolve as grid_evolve
-from .grid import gaussian_state, suggested_half_width
 from .matsubara import MatsubaraConfig, matsubara_p2, matsubara_q2
 
 FLOAT_FMT = "%.17g"
+# grid-validate exits 2 outside these (the acceptance run's bounds)
+GRID_MOMENT_GAP = 1e-2
+GRID_TRACE_DRIFT = 1e-6
+GRID_HERMITICITY = 1e-9
 
 # single source of truth for emitted headers; --help text is built from this
 COLUMNS = {
@@ -225,7 +229,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("grid-validate", help="grid evolution vs moment ODEs",
                        description="Evolve the master equation on an (x, y) grid from a "
                                    "displaced Gaussian and compare grid moments with the "
-                                   "analytic moment solution. " + cols("grid-validate"))
+                                   "analytic moment solution; exits 2 if the run leaves "
+                                   f"the box or its tolerances (moment gap {GRID_MOMENT_GAP:g}, "
+                                   f"trace drift {GRID_TRACE_DRIFT:g}, hermiticity "
+                                   f"{GRID_HERMITICITY:g}). " + cols("grid-validate"))
     _add_param_flags(p)
     p.add_argument("--N", type=int, default=256, help="grid points per axis (default 256)")
     p.add_argument("--L", type=float, default=0.0, help="grid half-width (0 = auto)")
@@ -302,14 +309,30 @@ print("wrote", {png!r})
 '''
 
 
+class NonFiniteOutputError(QbmError):
+    """A result row holds nan or inf; the CSV is not written."""
+
+
+class GridToleranceError(QbmError):
+    """grid-validate left its accuracy tolerances or leaked into the boundary."""
+
+
+def _check_finite(header: list[str], rows: list[tuple]) -> None:
+    for i, row in enumerate(rows):
+        for name, v in zip(header, row):
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+                raise NonFiniteOutputError(f"{name} = {_fmt(v)} in data row {i + 1}")
+
+
 def _emit(cfg: RunConfig, meta: str, rows: list[tuple], xlabel: str = "") -> None:
+    """Write the CSV, or raise NonFiniteOutputError if any value is nan/inf."""
     header = COLUMNS[cfg.command]
-    buf = io.StringIO()
-    buf.write(f"# qbrown {cfg.command} {meta}\r\n")
-    buf.write(",".join(header) + "\r\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\r\n")
-    text = buf.getvalue()
+    body = "".join([",".join([_fmt(v) for v in row]) + "\r\n" for row in rows])
+    # "%.17g" spells non-finite floats nan, inf or -inf: screening the text
+    # costs one substring scan, and only a hit pays for the exact check
+    if "nan" in body or "inf" in body:
+        _check_finite(header, rows)
+    text = f"# qbrown {cfg.command} {meta}\r\n" + ",".join(header) + "\r\n" + body
     if cfg.out:
         with open(cfg.out, "w", newline="") as f:
             f.write(text)
@@ -443,21 +466,34 @@ def _run_grid_validate(cfg: RunConfig) -> int:
     if L <= 0:
         L = suggested_half_width(1.05 * max(s0.q2, eq.q2), p, d, N=N)
     g0 = gaussian_state(s0, N=N, L=L, hbar=p.hbar)
-    final, samples = grid_evolve(g0, p, d, t_end,
-                                 sample_every=cfg.options.get("sample_every", 50))
+    steps, dt = plan_steps(g0, p, d, t_end)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", BoundaryMassWarning)
+        final, samples = grid_evolve(g0, p, d, t_end,
+                                     sample_every=cfg.options.get("sample_every", 50))
+    for w in caught:  # pass every warning on to the caller's filters
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     a = analytic_solution(s0, p, d, np.array([s["t"] for s in samples]))
     rows = []
     worst = 0.0
     for s, q2, p2, qp in zip(samples, a.q2.tolist(), a.p2.tolist(), a.qp.tolist()):
         rows.append((s["t"], s["q2"], q2, s["p2"], p2, s["qp"], qp, s["trace"], s["herm"]))
-        worst = max(worst, abs(s["q2"] / q2 - 1.0), abs(s["p2"] / p2 - 1.0))
+        worst = max(worst, abs(s["q2"] / q2 - 1.0), abs(s["p2"] / p2 - 1.0),
+                    abs(s["qp"] - qp) / math.sqrt(q2 * p2))
     _emit(cfg, cfg.convention() + f" N={g0.N} L={g0.L:g}", rows, xlabel="t")
     if cfg.options.get("snapshot_out"):
         final.write_csv(cfg.options["snapshot_out"], params=p)
     drift = max(abs(s["trace"] - samples[0]["trace"]) for s in samples)
     herm = max(s["herm"] for s in samples)
     print(f"grid-validate: worst moment gap {worst:.3e}, trace drift {drift:.3e}, "
-          f"hermiticity residual {herm:.3e}", file=sys.stderr)
+          f"hermiticity residual {herm:.3e}, steps={steps} dt={dt:.6e}", file=sys.stderr)
+    problems = [f"{what} {value:.3e} >= {bound:g}" for what, value, bound in (
+        ("moment gap", worst, GRID_MOMENT_GAP), ("trace drift", drift, GRID_TRACE_DRIFT),
+        ("hermiticity residual", herm, GRID_HERMITICITY)) if not value < bound]
+    if any(issubclass(w.category, BoundaryMassWarning) for w in caught):
+        problems.append("the state reached the grid boundary")
+    if problems:
+        raise GridToleranceError("; ".join(problems))
     return 0
 
 

@@ -1,12 +1,20 @@
 """Direct evolution of the master equation for rho(x, y, t) on an N x N grid.
 
 End-to-end validation path: build a Gaussian state from target second
-moments, step the full six-term PDE with 4th-order centered differences and
-RK4, and read the moments back off the grid.  The discretization is built so
-that the discrete trace is conserved exactly (up to roundoff and boundary
-leakage): the diagonal of every multiplicative term vanishes identically, the
-kinetic term telescopes under the trace, and the position-diffusion term uses
-the antisymmetric first-derivative stencil composed with itself.
+moments, step the full six-term PDE, and read the moments back off the grid.
+Space uses 4th-order centered differences.  Time uses Lawson's
+integrating-factor RK4 (Lawson, SIAM J. Numer. Anal. 4, 372 (1967); Hochbruck
+& Ostermann, Acta Numerica 19, 209 (2010)): the stiff pointwise potential +
+decoherence factor P(x, y) = -i(M omega0^2/2 hbar)(x^2 - y^2)
+- (Dpp/hbar^2)(x - y)^2 is applied exactly as exp(P dt/2), and RK4 steps only
+the stencil terms, so the step size is bounded by their spectrum alone.
+
+The discretization is built so that the discrete trace is conserved exactly
+(up to roundoff and boundary leakage): P and every multiplicative term vanish
+on the diagonal, the kinetic term telescopes under the trace, and the
+position-diffusion term uses the antisymmetric first-derivative stencil
+composed with itself.  P is hermitian-symmetric, so exp(P dt/2) keeps
+rho = rho^dagger.
 """
 
 from __future__ import annotations
@@ -20,9 +28,13 @@ import numpy as np
 
 from .core import StabilityError, StateError, SystemParams
 from .diffusion import DiffusionConstants
-from .dynamics import CSV_FLOAT_FMT, MomentState
+from .dynamics import CSV_FLOAT_FMT, MomentState, analytic_solution
 
 _EDGE_FRACTION = 1e-10
+# max_k |16 sin k - 2 sin 2k|, reached at cos k = 1 - sqrt(3/2)
+_D1_SYMBOL_MAX = 4.0 * math.sqrt(1.0 - (1.0 - math.sqrt(1.5)) ** 2) * (3.0 + math.sqrt(1.5))
+# dt * R, below the radius 2.61 of the left half-disk inside RK4's stability region
+_LAWSON_CFL = 2.5
 
 
 class BoundaryMassWarning(UserWarning):
@@ -112,21 +124,40 @@ def gaussian_state(m: MomentState, N: int = 256, L: float = 0.0,
     return g
 
 
+def stencil_radius_bound(g: DensityGrid, p: SystemParams, d: DiffusionConstants) -> float:
+    """R: an upper bound on the spectral radius of the stencil terms that
+    Lawson RK4 steps explicitly, as the sum of their operator-norm bounds.
+
+    With s = max_k |16 sin k - 2 sin 2k| (the symbol of the unscaled 4th-order
+    first-derivative stencil) and |ca| = |cb| = |2i Dpq/hbar -+ gamma|:
+      kinetic            (hbar/2M) * 64/(12 dx^2)
+      friction+anomalous 2L (|ca| + |cb|) * s/(12 dx)
+      position diffusion |Dqq| (2 s/(12 dx))^2
+    """
+    dx = g.dx
+    c_kin = p.hbar / (2.0 * p.M) * 64.0 / (12.0 * dx * dx)
+    d1 = _D1_SYMBOL_MAX / (12.0 * dx)
+    c_fric = 2.0 * g.L * 2.0 * math.hypot(2.0 * d.Dpq / p.hbar, p.gamma) * d1
+    c_dqq = abs(d.Dqq) * (2.0 * d1) ** 2
+    return c_kin + c_fric + c_dqq
+
+
 def stable_dt(g: DensityGrid, p: SystemParams, d: DiffusionConstants) -> float:
-    """Largest allowed explicit step: 0.25*min(M dx^2/hbar, 1/gamma, hbar^2/(Dpp L^2))."""
-    bounds = [p.M * g.dx ** 2 / p.hbar]
-    if p.gamma > 0.0:
-        bounds.append(1.0 / p.gamma)
-    if d.Dpp > 0.0:
-        bounds.append(p.hbar ** 2 / (d.Dpp * g.L ** 2))
-    return 0.25 * min(bounds)
+    """Largest allowed step, 2.5/R with R = stencil_radius_bound: dt*|lambda|
+    <= 2.5 for every eigenvalue lambda of the explicitly stepped part, inside
+    the radius 2.61 to which RK4's stability region fills the left half-plane
+    (2.83 on the imaginary axis, 2.79 on the negative real one)."""
+    return _LAWSON_CFL / stencil_radius_bound(g, p, d)
 
 
 def suggested_half_width(q2_max: float, p: SystemParams, d: DiffusionConstants,
                          N: int = 256) -> float:
     """Half-width that fits the state (L >= 8*sqrt(q2_max)) and, where room
-    allows, balances the dx^2 and decoherence stability bounds so the
-    admissible time step is largest."""
+    allows (up to 1.5x that), the L at which the spacing scale M dx^2/hbar
+    equals the decoherence scale hbar^2/(Dpp L^2).  That balance maximized
+    the old explicit step; the Lawson step takes decoherence exactly, so it
+    no longer sets dt, but the formula is kept so existing grids (and their
+    CSV rows) stay as they are."""
     L_min = 8.0 * math.sqrt(q2_max)
     if d.Dpp <= 0.0:
         return L_min
@@ -135,7 +166,10 @@ def suggested_half_width(q2_max: float, p: SystemParams, d: DiffusionConstants,
 
 
 class _MasterOperator:
-    """Right-hand side of the six-term master equation, tuned for repeated calls.
+    """The six-term master equation split for Lawson RK4, tuned for repeated
+    calls: ``rhs`` evaluates the stencil terms (kinetic, friction + anomalous,
+    position diffusion), and the pointwise potential + decoherence factor P
+    enters each step only through E = exp(P dt/2).
 
     One zero-bordered scratch buffer per field serves all stencil directions
     (the border is the clamped boundary condition), and every array operation
@@ -146,13 +180,11 @@ class _MasterOperator:
     def __init__(self, x: np.ndarray, p: SystemParams, d: DiffusionConstants):
         n = len(x)
         dx = float(x[1] - x[0])
-        X = x[:, None]
-        Y = x[None, :]
-        xmy = X - Y
-        # potential + decoherence share one pointwise complex factor
-        self.pointwise = (-1j * p.M * p.omega0 ** 2 / (2.0 * p.hbar)) * (X * X - Y * Y) \
-            - (d.Dpp / p.hbar ** 2) * xmy * xmy
-        self.xmy = xmy
+        self.x = x
+        self.xmy = x[:, None] - x[None, :]
+        # P = -i c_pot (x^2 - y^2) - c_dec (x - y)^2
+        self.c_pot = p.M * p.omega0 ** 2 / (2.0 * p.hbar)
+        self.c_dec = d.Dpp / p.hbar ** 2
         c1 = 1.0 / (12.0 * dx)
         c2 = 1.0 / (12.0 * dx * dx)
         self.c_kin = (1j * p.hbar / (2.0 * p.M)) * c2
@@ -172,6 +204,24 @@ class _MasterOperator:
         self._stage = np.empty(shape, dtype=complex)
         self._acc = np.empty(shape, dtype=complex)
         self._k = np.empty(shape, dtype=complex)
+        self._factor = np.empty(shape, dtype=complex)
+        self._factor_dt: Optional[float] = None
+
+    def factor(self, dt: float) -> np.ndarray:
+        """E = exp(P dt/2), rebuilt in place only when dt changes.  P is
+        exactly 0 on the diagonal, so E is exactly 1 there."""
+        if dt != self._factor_dt:
+            E = self._factor
+            h = 0.5 * dt
+            np.multiply(self.xmy, self.xmy, out=E.real)
+            E.real *= -h * self.c_dec
+            # x^2 - y^2 = (x + y)(x - y)
+            np.add(self.x[:, None], self.x[None, :], out=E.imag)
+            E.imag *= self.xmy
+            E.imag *= -h * self.c_pot
+            np.exp(E, out=E)
+            self._factor_dt = dt
+        return self._factor
 
     @staticmethod
     def _d1_pair(cx, cy, out, tmp, tmp2):
@@ -213,10 +263,6 @@ class _MasterOperator:
         out += t1
         out *= self.c_kin
 
-        # potential + decoherence
-        np.multiply(self.pointwise, rho, out=t1)
-        out += t1
-
         # friction + anomalous: xmy * (ca*d1x + cb*d1y) * c1
         np.multiply(b1, self.ca * self.c1, out=t1)
         np.multiply(b2, self.cb * self.c1, out=t2)
@@ -236,10 +282,19 @@ class _MasterOperator:
             out += t1
         return out
 
-    def rk4_inplace(self, rho: np.ndarray, dt: float) -> None:
-        """Advance rho by one RK4 step, reusing the operator's buffers."""
+    def lawson_inplace(self, rho: np.ndarray, dt: float) -> None:
+        """Advance rho by one Lawson RK4 step, reusing the operator's buffers.
+
+        With N = rhs, h = dt and E = exp(P h/2):
+          k1 = N(u), k2 = N(E(u + h/2 k1)), k3 = N(E u + h/2 k2),
+          k4 = N(E(E u + h k3)),
+          u' = E(E u + h/6 (E k1 + 2 k2 + 2 k3)) + h/6 k4.
+        """
+        E = self.factor(dt)
         acc, k, stage = self._acc, self._k, self._stage
         self.rhs(rho, acc)                       # k1
+        rho *= E                                 # rho holds E u from here
+        acc *= E
         np.multiply(acc, 0.5 * dt, out=stage)
         stage += rho
         self.rhs(stage, k)                       # k2
@@ -252,20 +307,18 @@ class _MasterOperator:
         acc += k
         np.multiply(k, dt, out=stage)
         stage += rho
+        stage *= E
         self.rhs(stage, k)                       # k4
-        acc += k
         acc *= dt / 6.0
         rho += acc
+        rho *= E
+        k *= dt / 6.0
+        rho += k
         # Dirichlet clamp: the outermost ring is pinned to zero
         rho[0] = 0.0
         rho[-1] = 0.0
         rho[:, 0] = 0.0
         rho[:, -1] = 0.0
-
-    def rk4(self, rho: np.ndarray, dt: float) -> np.ndarray:
-        out = rho.copy()
-        self.rk4_inplace(out, dt)
-        return out
 
 
 def _check_boundary(values: np.ndarray) -> None:
@@ -281,15 +334,31 @@ def _check_boundary(values: np.ndarray) -> None:
             "the state no longer fits the box", BoundaryMassWarning)
 
 
-def step(g: DensityGrid, p: SystemParams, d: DiffusionConstants, dt: float) -> DensityGrid:
-    """One RK4 step of the master equation; returns a new grid at t + dt."""
+def _check_dt(g: DensityGrid, p: SystemParams, d: DiffusionConstants, dt: float) -> None:
     limit = stable_dt(g, p, d)
     if dt > limit * (1.0 + 1e-12):
         raise StabilityError(f"dt={dt:g} exceeds the stability bound {limit:g}")
-    op = _MasterOperator(g.x, p, d)
-    values = op.rk4(g.values, dt)
+
+
+def step(g: DensityGrid, p: SystemParams, d: DiffusionConstants, dt: float) -> DensityGrid:
+    """One Lawson RK4 step of the master equation; returns a new grid at t + dt."""
+    _check_dt(g, p, d, dt)
+    values = g.values.copy()
+    _MasterOperator(g.x, p, d).lawson_inplace(values, dt)
     _check_boundary(values)
     return DensityGrid(g.x, values, g.t + dt)
+
+
+def plan_steps(g: DensityGrid, p: SystemParams, d: DiffusionConstants, t_end: float,
+               dt: Optional[float] = None) -> tuple[int, float]:
+    """(steps, dt) that evolve() takes to t_end: dt defaults to the stability
+    bound and is adjusted down so the steps land exactly on t_end."""
+    if dt is None:
+        dt = stable_dt(g, p, d)
+    else:
+        _check_dt(g, p, d, dt)
+    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
+    return n_steps, t_end / n_steps
 
 
 def evolve(
@@ -303,24 +372,17 @@ def evolve(
 ) -> tuple[DensityGrid, list[dict]]:
     """Step to t_end, recording grid moments / trace / hermiticity samples.
 
-    dt defaults to the stability bound, adjusted down so the steps land
-    exactly on t_end.  Returns the final grid and a list of sample dicts with
-    keys t, q2, p2, qp, trace, herm.
+    The step plan is plan_steps(g, p, d, t_end, dt).  Returns the final grid
+    and a list of sample dicts with keys t, q2, p2, qp, trace, herm.
     """
-    limit = stable_dt(g, p, d)
-    if dt is None:
-        dt = limit
-    elif dt > limit * (1.0 + 1e-12):
-        raise StabilityError(f"dt={dt:g} exceeds the stability bound {limit:g}")
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    dt = t_end / n_steps
+    n_steps, dt = plan_steps(g, p, d, t_end, dt)
     hbar = p.hbar if hbar is None else hbar
 
     op = _MasterOperator(g.x, p, d)
     values = g.values.copy()
     samples = [_sample(g.x, values, g.t, hbar)]
     for k in range(n_steps):
-        op.rk4_inplace(values, dt)
+        op.lawson_inplace(values, dt)
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             samples.append(_sample(g.x, values, g.t + (k + 1) * dt, hbar))
     _check_boundary(values)
@@ -364,3 +426,17 @@ def moments_from_grid(g: DensityGrid, hbar: float = 1.0) -> MomentState:
     p2 = float((-hbar * hbar) * np.real(d2fdu2.sum()) * dx)
     qp = float(np.real(-2j * hbar * (g.x * dfdu).sum() * dx))
     return MomentState(q2, p2, qp, t=g.t)
+
+
+def gaussian_error(g: DensityGrid, s0: MomentState, p: SystemParams,
+                   d: DiffusionConstants) -> float:
+    """max |rho_grid - rho_exact| relative to the peak of |rho_exact|.
+
+    Every term of the master equation is at most quadratic in x, y and their
+    derivatives, so a Gaussian stays Gaussian: evolved from the zero-mean
+    Gaussian of s0, the exact state at g.t is the Gaussian of the analytic
+    moments, sampled on the grid's own axis.
+    """
+    m = analytic_solution(s0, p, d, g.t - s0.t)
+    exact = gaussian_state(m, N=g.N, L=g.L, hbar=p.hbar).values
+    return float(np.abs(g.values - exact).max() / np.abs(exact).max())

@@ -11,6 +11,7 @@ from qbrown.cli import COLUMNS, build_parser, main
 from qbrown.coefficients import alpha_pair
 from qbrown.core import SystemParams
 from qbrown.diffusion import diffusion_constants, positivity_delta
+from qbrown.grid import BoundaryMassWarning
 
 
 def run_cli(argv, capsys):
@@ -222,9 +223,39 @@ class TestGridValidateCmd:
             assert float(r[7]) == pytest.approx(1.0, abs=1e-6)
             assert float(r[8]) < 1e-9
         assert "grid-validate: worst moment gap" in err
+        # the step plan is reported on stderr, not in the CSV
+        assert "steps=" in err and " dt=" in err
+        assert "steps" not in out
         assert snap.exists()
         first = snap.read_text().splitlines()[0]
         assert first.startswith("# N=96")
+
+    def test_coarse_grid_is_numerical_failure(self, capsys):
+        # N=8 leaves the box and misses the moments by ~160%: the CSV is still
+        # written for inspection, but the run exits 2
+        with pytest.warns(BoundaryMassWarning):
+            code, out, err = run_cli(["grid-validate", "--N", "8"], capsys)
+        assert code == 2
+        assert len(parse_csv(out)[2]) > 0
+        assert "numerical failure: GridToleranceError" in err
+        assert "moment gap" in err and "boundary" in err
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("argv, column", [
+        # at T = 1e-300 <p^2>, the slope and alpha come out nan or inf
+        (["free-particle", "--T", "1e-300"], "value"),
+        # gamma^2 - omega0^2 underflows, so lambda2 - lambda1 = 0 off the
+        # critical band
+        (["coeffs", "--gamma", "1e-170", "--omega0", "2e-170", "--sweep", "T=0.5:1",
+          "--points", "2"], "alpha_prime"),
+    ])
+    def test_exit_2_without_csv(self, argv, column, capsys, tmp_path):
+        out_file = tmp_path / "out.csv"
+        code, out, err = run_cli(argv + ["--out", str(out_file)], capsys)
+        assert code == 2
+        assert f"numerical failure: NonFiniteOutputError: {column} = " in err
+        assert not out_file.exists() and out == ""
 
 
 class TestConfigErrors:

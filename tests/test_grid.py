@@ -12,10 +12,14 @@ from qbrown.dynamics import MomentState, analytic_solution, equilibrium_moments,
 from qbrown.grid import (
     BoundaryMassWarning,
     DensityGrid,
+    _MasterOperator,
     evolve,
+    gaussian_error,
     gaussian_state,
     moments_from_grid,
+    plan_steps,
     stable_dt,
+    stencil_radius_bound,
     step,
     suggested_half_width,
 )
@@ -154,6 +158,128 @@ class TestStep:
         d = diffusion_constants(p)
         with pytest.warns(BoundaryMassWarning):
             evolve(tiny, p, d, 0.8)
+
+
+def pointwise_factor(x, p, d):
+    """P(x, y) = -i (M omega0^2/2 hbar)(x^2 - y^2) - (Dpp/hbar^2)(x - y)^2."""
+    X, Y = x[:, None], x[None, :]
+    return (-1j * p.M * p.omega0 ** 2 / (2.0 * p.hbar)) * (X * X - Y * Y) \
+        - (d.Dpp / p.hbar ** 2) * (X - Y) ** 2
+
+
+def explicit_rk4(g, p, d, t_end):
+    """Classical RK4 on the whole right-hand side (stencil terms + P rho) at
+    the explicit step 0.25*min(M dx^2/hbar, 1/gamma, hbar^2/(Dpp L^2))."""
+    op = _MasterOperator(g.x, p, d)
+    P = pointwise_factor(g.x, p, d)
+
+    def f(u):
+        out = np.empty_like(u)
+        op.rhs(u, out)
+        return out + P * u
+
+    dt = 0.25 * min(p.M * g.dx ** 2 / p.hbar, 1.0 / p.gamma,
+                    p.hbar ** 2 / (d.Dpp * g.L ** 2))
+    n = math.ceil(t_end / dt)
+    dt = t_end / n
+    u = g.values.copy()
+    for _ in range(n):
+        k1 = f(u)
+        k2 = f(u + 0.5 * dt * k1)
+        k3 = f(u + 0.5 * dt * k2)
+        k4 = f(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u[0] = u[-1] = 0.0
+        u[:, 0] = u[:, -1] = 0.0
+    return DensityGrid(g.x, u, g.t + t_end), n
+
+
+def spectral_radius(op, n, iters=400, tail=100):
+    """Growth rate (|A^tail v| / |v|)^(1/tail) of the stencil operator A =
+    op.rhs after iters - tail warm-up iterations from a fixed random start."""
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w = np.empty_like(v)
+    log_growth = 0.0
+    for i in range(iters):
+        op.rhs(v, w)
+        norm = np.linalg.norm(w)
+        if i >= iters - tail:
+            log_growth += math.log(norm / np.linalg.norm(v))
+        v, w = w / norm, v
+    return math.exp(log_growth / tail)
+
+
+class TestLawsonStep:
+    @pytest.mark.parametrize("kw, N", [
+        (dict(omega0=2.0, T=2.0), 256),               # the benchmark system
+        (dict(omega0=2.0, T=20.0), 64),               # decoherence-dominated
+        (dict(omega0=0.3, T=0.5, gamma=3.0), 96),     # overdamped, below T_c
+        (dict(omega0=5.0, T=1.0, M=2.0, hbar=0.5), 64),
+    ])
+    def test_bound_covers_spectral_radius(self, kw, N):
+        p = SystemParams(**kw)
+        d = diffusion_constants(p)
+        eq = equilibrium_moments(p, d)
+        g = gaussian_state(eq, N=N, L=suggested_half_width(1.4 * eq.q2, p, d, N=N),
+                           hbar=p.hbar)
+        R = stencil_radius_bound(g, p, d)
+        rho = spectral_radius(_MasterOperator(g.x, p, d), N)
+        assert rho <= R
+        assert rho >= 0.4 * R       # the bound is not loose enough to waste steps
+        assert stable_dt(g, p, d) == pytest.approx(2.5 / R, rel=1e-15)
+
+    def test_matches_explicit_rk4(self):
+        # Lawson RK4 at its own bound against classical RK4 on the whole
+        # operator at the explicit bound, which takes ~10x the steps
+        m = displaced()
+        g = gaussian_state(m, N=64, L=8.0 * math.sqrt(1.45 * EQ.q2))
+        ref_grid, n_ref = explicit_rk4(g, P, D, 1.0)
+        final, samples = evolve(g, P, D, 1.0, sample_every=10 ** 6)
+        n_steps, _ = plan_steps(g, P, D, 1.0)
+        assert n_steps * 5 < n_ref
+        ref = moments_from_grid(ref_grid)
+        got = samples[-1]
+        assert got["q2"] == pytest.approx(ref.q2, rel=1e-6)
+        assert got["p2"] == pytest.approx(ref.p2, rel=1e-6)
+        assert abs(got["qp"] - ref.qp) < 1e-6 * math.sqrt(ref.q2 * ref.p2)
+
+    def test_factor_is_exact_on_diagonal_and_hermitian(self):
+        g = gaussian_state(displaced(), N=64)
+        op = _MasterOperator(g.x, P, D)
+        E = op.factor(0.01)
+        assert np.all(np.diagonal(E) == 1.0)
+        assert np.array_equal(E, E.conj().T)
+        assert np.allclose(E, np.exp(0.005 * pointwise_factor(g.x, P, D)), rtol=1e-14)
+
+    def test_plan_lands_on_t_end(self):
+        g = gaussian_state(displaced(), N=64)
+        n, dt = plan_steps(g, P, D, 0.3)
+        assert n * dt == pytest.approx(0.3, rel=1e-15)
+        assert dt <= stable_dt(g, P, D)
+        assert (n - 1) * stable_dt(g, P, D) < 0.3
+
+
+class TestGaussianOracle:
+    def test_initial_state_is_exact(self):
+        m = displaced()
+        g = gaussian_state(m, N=64, L=7.13)
+        assert gaussian_error(g, m, P, D) == 0.0
+
+    def test_observed_order_is_four(self):
+        # the exact Gaussian at t = 3/gamma on the acceptance-run system: the
+        # pointwise error falls as dx^4 (the stencils' order; the time error
+        # is far below it)
+        m = displaced()
+        errs, dxs = [], []
+        for N in (32, 64, 128):
+            g = gaussian_state(m, N=N, L=7.13)
+            final, _ = evolve(g, P, D, 3.0 / P.gamma, sample_every=10 ** 6)
+            errs.append(gaussian_error(final, m, P, D))
+            dxs.append(g.dx)
+        for i in range(2):
+            order = math.log(errs[i] / errs[i + 1]) / math.log(dxs[i] / dxs[i + 1])
+            assert 3.5 <= order <= 4.5, (errs, order)
 
 
 def analytic_q2_unitary(m, p, t):
