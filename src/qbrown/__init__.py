@@ -56,10 +56,8 @@ from .grid import (
     step,
 )
 from .matsubara import (
-    ConvergenceWarning,
     CutoffSensitivityWarning,
     MatsubaraConfig,
-    TailMode,
     drude_friction,
     matsubara_p2,
     matsubara_q2,
@@ -72,7 +70,6 @@ __all__ = [
     "AnalyticCoefficients",
     "BoundaryMassWarning",
     "BracketError",
-    "ConvergenceWarning",
     "CutoffMode",
     "CutoffSensitivityWarning",
     "DensityGrid",
@@ -90,7 +87,6 @@ __all__ = [
     "StateError",
     "StepSizeError",
     "SystemParams",
-    "TailMode",
     "TemperatureError",
     "alpha_arrays",
     "alpha_pair",

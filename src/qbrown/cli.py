@@ -234,7 +234,8 @@ def build_parser() -> _Parser:
                                    f"trace drift {GRID_TRACE_DRIFT:g}, hermiticity "
                                    f"{GRID_HERMITICITY:g}). " + cols("grid-validate"))
     _add_param_flags(p)
-    p.add_argument("--N", type=int, default=256, help="grid points per axis (default 256)")
+    p.add_argument("--N", type=int, default=256,
+                   help="grid points per axis, at least 5 (default 256)")
     p.add_argument("--L", type=float, default=0.0, help="grid half-width (0 = auto)")
     p.add_argument("--t-end", type=float, default=None, help="default 3/gamma")
     p.add_argument("--sample-every", type=int, default=50)
@@ -392,16 +393,14 @@ def _run_equilibrium(cfg: RunConfig) -> int:
     omega0 = cfg.gamma / ratio
     lo, hi, log = cfg.options["T_range"]
     Ts = np.geomspace(lo, hi, cfg.points) if log else np.linspace(lo, hi, cfg.points)
-    rows = []
-    for T in Ts:
-        p = cfg.params(omega0=omega0, T=float(T))
-        eq = equilibrium_moments(p, diffusion_constants(p))
-        pot = 0.5 * p.M * p.omega0 ** 2 * eq.q2
-        kin = eq.p2 / (2.0 * p.M)
-        pot_or = 0.5 * p.M * p.omega0 ** 2 * matsubara_q2(p)
-        kin_or = matsubara_p2(p) / (2.0 * p.M)
-        rows.append((float(T), pot, kin, pot_or, kin_or,
-                     pot / pot_or - 1.0, kin / kin_or - 1.0))
+    p = cfg.params(omega0=omega0, T=Ts)
+    eq = equilibrium_moments(p, diffusion_constants(p))
+    pot = 0.5 * p.M * p.omega0 ** 2 * eq.q2
+    kin = eq.p2 / (2.0 * p.M)
+    pot_or = 0.5 * p.M * p.omega0 ** 2 * matsubara_q2(p)
+    kin_or = matsubara_p2(p) / (2.0 * p.M)
+    rows = list(zip(*(v.tolist() for v in (Ts, pot, kin, pot_or, kin_or,
+                                           pot / pot_or - 1.0, kin / kin_or - 1.0))))
     # the oracle's Drude cutoff, which kinetic_oracle depends on
     omega_c = MatsubaraConfig().cutoff_for(cfg.params(omega0=omega0))
     meta = (f"gamma_over_omega0={ratio:g} omega0={omega0:g} gamma={cfg.gamma:g} "
@@ -454,14 +453,22 @@ def _run_free_particle(cfg: RunConfig) -> int:
 
 
 def _run_grid_validate(cfg: RunConfig) -> int:
+    N = cfg.options.get("N", 256)
+    every = cfg.options.get("sample_every", 50)
+    if N < 5:
+        raise ConfigError("--N must be at least 5, the stencil width")
+    if every < 1:
+        raise ConfigError("--sample-every must be at least 1")
+    t_end = cfg.options.get("t_end")
+    if t_end is not None and not 0.0 <= t_end < math.inf:
+        raise ConfigError("--t-end must be finite and non-negative")
     p = cfg.params()
     d = diffusion_constants(p)
     eq = equilibrium_moments(p, d)
     s0 = MomentState(1.4 * eq.q2, 0.75 * eq.p2, eq.qp)
     if s0.uncertainty() < 0.25 * p.hbar ** 2:
         raise ConfigError("displaced state violates the uncertainty bound; raise T")
-    t_end = cfg.options.get("t_end") or 3.0 / p.gamma
-    N = cfg.options.get("N", 256)
+    t_end = t_end or 3.0 / p.gamma
     L = cfg.options.get("L") or 0.0
     if L <= 0:
         L = suggested_half_width(1.05 * max(s0.q2, eq.q2), p, d, N=N)
@@ -469,8 +476,7 @@ def _run_grid_validate(cfg: RunConfig) -> int:
     steps, dt = plan_steps(g0, p, d, t_end)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", BoundaryMassWarning)
-        final, samples = grid_evolve(g0, p, d, t_end,
-                                     sample_every=cfg.options.get("sample_every", 50))
+        final, samples = grid_evolve(g0, p, d, t_end, sample_every=every)
     for w in caught:  # pass every warning on to the caller's filters
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     a = analytic_solution(s0, p, d, np.array([s["t"] for s in samples]))

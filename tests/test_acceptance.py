@@ -35,13 +35,7 @@ from qbrown.dynamics import (
 )
 from qbrown.grid import evolve as grid_evolve
 from qbrown.grid import gaussian_error, gaussian_state, suggested_half_width
-from qbrown.matsubara import (
-    ConvergenceWarning,
-    CutoffSensitivityWarning,
-    MatsubaraConfig,
-    matsubara_p2,
-    matsubara_q2,
-)
+from qbrown.matsubara import CutoffSensitivityWarning, MatsubaraConfig, matsubara_p2, matsubara_q2
 
 
 def report(n, name, ok, detail=""):
@@ -133,7 +127,6 @@ def test_criterion_5_thermodynamic_oracle_agreement():
             wc = 1e3 * max(p.gamma, p.omega0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CutoffSensitivityWarning)
-                warnings.simplefilter("error", ConvergenceWarning)
                 q2_o = matsubara_q2(p, MatsubaraConfig(drude_cutoff=wc))
                 p2_o = matsubara_p2(p, MatsubaraConfig(drude_cutoff=wc))
                 p2_o2 = matsubara_p2(p, MatsubaraConfig(drude_cutoff=2.0 * wc))
@@ -260,14 +253,15 @@ def test_criterion_8_grid_tracks_moment_solution():
     drift = max(abs(s["trace"] - samples[0]["trace"]) for s in samples)
     herm = max(s["herm"] for s in samples)
     elapsed = time.perf_counter() - t0
-    # reported only: max |rho - rho_exact| / peak against the exact Gaussian
+    # max |rho - rho_exact| / peak against the exact Gaussian (1.0e-5 at N=256)
     pointwise = gaussian_error(final, s0, p, d)
-    ok = worst < 0.01 and drift < 1e-6 and herm < 1e-9 and elapsed < 120.0
+    ok = worst < 0.01 and drift < 1e-6 and herm < 1e-9 and elapsed < 120.0 and pointwise < 1e-4
     report(8, "master-equation grid evolution", ok,
            f"N=256, 3 damping times: worst moment gap {worst:.2e} (< 1e-2), trace drift "
            f"{drift:.1e} (< 1e-6), hermiticity {herm:.1e} (< 1e-9), {elapsed:.0f} s (< 120 s); "
-           f"pointwise error vs exact Gaussian {pointwise:.2e}")
+           f"pointwise error vs exact Gaussian {pointwise:.2e} (< 1e-4)")
     assert worst < 0.01
     assert drift < 1e-6
     assert herm < 1e-9
     assert elapsed < 120.0
+    assert pointwise < 1e-4

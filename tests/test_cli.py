@@ -240,6 +240,19 @@ class TestGridValidateCmd:
         assert "numerical failure: GridToleranceError" in err
         assert "moment gap" in err and "boundary" in err
 
+    @pytest.mark.parametrize("flags, what", [
+        (["--N", "1"], "--N"),                   # narrower than the 5-point stencil
+        (["--sample-every", "0"], "--sample-every"),
+        (["--t-end", "-1"], "--t-end"),
+        (["--t-end", "inf"], "--t-end"),
+    ])
+    def test_invalid_option_is_configuration_error(self, flags, what, capsys, tmp_path):
+        out = tmp_path / "grid.csv"
+        code, _, err = run_cli(["grid-validate", "--out", str(out)] + flags, capsys)
+        assert code == 1
+        assert f"configuration error: {what}" in err
+        assert not out.exists()
+
 
 class TestNonFiniteOutput:
     @pytest.mark.parametrize("argv, column", [
