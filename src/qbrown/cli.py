@@ -203,8 +203,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("moments", help="moment trajectory, analytic and numeric",
                        description="Second-moment evolution from given initial moments; "
-                                   "analytic modal solution and RK4 integration side by "
-                                   "side. " + cols("moments"))
+                                   "exact closed-form solution and RK4 integration side "
+                                   "by side. " + cols("moments"))
     _add_param_flags(p)
     p.add_argument("--q2", type=float, default=1.0, help="initial <q^2>")
     p.add_argument("--p2", type=float, default=1.0, help="initial <p^2>")
@@ -409,12 +409,21 @@ def _run_equilibrium(cfg: RunConfig) -> int:
     return 0
 
 
+def _time_option(cfg: RunConfig, name: str) -> Optional[float]:
+    """A time option's value; None and 0 ask for the default."""
+    v = cfg.options.get(name)
+    if v is not None and not 0.0 <= v < math.inf:
+        raise ConfigError(f"--{name.replace('_', '-')} must be finite and non-negative")
+    return v
+
+
 def _run_moments(cfg: RunConfig) -> int:
+    t_end, dt = _time_option(cfg, "t_end"), _time_option(cfg, "dt")
     p = cfg.params()
     d = diffusion_constants(p)
     s0 = MomentState(cfg.options["q2"], cfg.options["p2"], cfg.options["qp"])
-    t_end = cfg.options.get("t_end") or 10.0 / p.gamma
-    dt = cfg.options.get("dt") or 0.005 / max(p.gamma, p.omega0)
+    t_end = t_end or 10.0 / p.gamma
+    dt = dt or 0.005 / max(p.gamma, p.omega0)
     n_steps = max(1, int(round(t_end / dt)))
     stride = max(1, n_steps // cfg.points)
     traj = evolve_numeric(s0, p, d, t_end, dt, stride=stride)
@@ -459,9 +468,7 @@ def _run_grid_validate(cfg: RunConfig) -> int:
         raise ConfigError("--N must be at least 5, the stencil width")
     if every < 1:
         raise ConfigError("--sample-every must be at least 1")
-    t_end = cfg.options.get("t_end")
-    if t_end is not None and not 0.0 <= t_end < math.inf:
-        raise ConfigError("--t-end must be finite and non-negative")
+    t_end = _time_option(cfg, "t_end")
     p = cfg.params()
     d = diffusion_constants(p)
     eq = equilibrium_moments(p, d)

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    CRITICAL_NUDGE,
     CRITICAL_TOL,
     SystemParams,
     TemperatureError,
@@ -33,6 +32,9 @@ from .core import (
 logger = logging.getLogger(__name__)
 
 _TINY = 1e-300
+# two-sided relative omega0 nudge used to evaluate formulas that divide by
+# (lambda2 - lambda1) at critical damping
+CRITICAL_NUDGE = 1e-7
 
 
 class CutoffMode(Enum):

@@ -22,9 +22,6 @@ INFINITE_CUTOFF = math.inf
 
 # relative |gamma - omega0|/gamma below which a system counts as critically damped
 CRITICAL_TOL = 1e-9
-# two-sided relative omega0 nudge used to evaluate formulas that divide by
-# (lambda2 - lambda1) at critical damping
-CRITICAL_NUDGE = 1e-7
 
 _POLE_TOL = 1e-12
 _SERIES_RADIUS = 1e-2

@@ -1,22 +1,21 @@
 """Second-moment dynamics of the master equation.
 
 The three coupled ODEs for <q^2>, <p^2>, <qp+pq> close among themselves; this
-module provides the exact modal solution (decay rates 2*gamma, 2*(gamma -/+
-Omega)), an independent fixed-step RK4 integrator, the equilibrium fixed
-point, and the omega0 -> 0 free-particle recovery.
+module provides their exact solution for every omega0 >= 0 (decay rates
+2*gamma, 2*(gamma -/+ Omega)), an independent fixed-step RK4 integrator, the
+equilibrium fixed point, and the omega0 -> 0 free-particle limit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, TextIO, Union
 
 import numpy as np
 
 from .core import (
-    CRITICAL_NUDGE,
     NoEquilibriumError,
     StateError,
     StepSizeError,
@@ -83,8 +82,8 @@ class AnalyticCoefficients:
 
     The decay modes are exp(-2*gamma*t), exp(-2*(gamma-Omega)*t),
     exp(-2*(gamma+Omega)*t) with coefficients C1, C2, C3 fixed by the t=0
-    moments.  ``c2_reference`` is the independent closed form of C2 (None at
-    critical damping, where it divides by Omega^3).
+    moments.  ``c2_reference`` is the independent closed form of C2 (None
+    where Omega = 0, since it divides by Omega^3).
     """
 
     C1: complex
@@ -209,11 +208,11 @@ def c2_closed_form(s0: MomentState, p: SystemParams, d: DiffusionConstants) -> c
 def analytic_coefficients(
     s0: MomentState, p: SystemParams, d: DiffusionConstants
 ) -> AnalyticCoefficients:
-    """Solve the 3x3 linear system matching the modal solution to s0 at t=0.
+    """The paper's modal constants: the 3x3 linear system matching the modal
+    solution to s0 at t=0 (``analytic_solution`` does not use them).
 
     C2 is cross-checked against its printed closed form away from critical
-    damping (stored in ``c2_reference``; the caller decides what gap to
-    tolerate).
+    damping (``c2_reference``; the caller decides what gap to tolerate).
     """
     if p.gamma <= 0.0 or p.omega0 <= 0.0:
         raise ValueError("analytic solution needs gamma > 0 and omega0 > 0")
@@ -225,46 +224,72 @@ def analytic_coefficients(
         C = np.linalg.solve(V, rhs)
     except np.linalg.LinAlgError as exc:
         raise StateError(f"singular mode system at {p!r}: {exc}") from exc
-    c2_ref = None if p.is_critical() else c2_closed_form(s0, p, d)
+    c2_ref = c2_closed_form(s0, p, d) if Omega else None
     return AnalyticCoefficients(C[0], C[1], C[2], Omega, eq, c2_ref)
 
 
-def _modal_moments(s0: MomentState, p: SystemParams, d: DiffusionConstants,
-                   t: np.ndarray) -> np.ndarray:
-    """(len(t), 3) complex moments (q2, p2, qp) of the modal solution, from
-    one coefficient solve.  Each row is V @ (C * exp(rates * t)), the same
-    matrix-vector product per time, so a row does not depend on the other
-    times in ``t``."""
-    co = analytic_coefficients(s0, p, d)
-    V, rates = _mode_matrix(p, co.Omega)
-    C = np.array([co.C1, co.C2, co.C3])
-    eq = np.array([co.equilibrium.q2, co.equilibrium.p2, co.equilibrium.qp], dtype=complex)
-    modes = C * np.exp(rates * t[:, None])
-    return eq + (V @ modes[:, :, None])[:, :, 0]
+def _shc(s):
+    """sinh(sqrt(s))/sqrt(s) for real |s| <= 4 (sin(sqrt(-s))/sqrt(-s) for
+    s < 0), summed as its Taylor series in s."""
+    out = 1.0
+    for k in range(12, 0, -1):
+        out = 1.0 + s * out / (2 * k * (2 * k + 1))
+    return out
+
+
+def _expm1(z: np.ndarray) -> np.ndarray:
+    """exp(z) - 1 of a complex array without the cancellation of exp(z) - 1."""
+    a, b = z.real, z.imag
+    return np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 + 1j * (np.exp(a) * np.sin(b))
 
 
 def analytic_solution(
     s0: MomentState, p: SystemParams, d: DiffusionConstants, t
 ) -> Union[MomentState, MomentTrajectory]:
-    """Moments at time t from the exact modal solution.
+    """Moments at time t from the exact solution, for every omega0 >= 0.
 
-    ``t`` may be an array of times: the result is then a MomentTrajectory
-    on those times, from one coefficient solve, equal to the calls for one
-    time at a time.  At critical damping (lambda2 - lambda1 = 0) the result
-    is the two-sided average of evaluations at omega0*(1 +/- 1e-7);
-    elsewhere the conjugate decay modes cancel to a real answer with residue
-    below ~1e-9.
+    With y = (q2, p2, qp) and y' = A y + b, y(t) = y0 + h(A)(A y0 + b) for
+    h(x) = (e^{xt} - 1)/x.  B = A + 2*gamma*I has eigenvalues 0 and
+    +/-2*Omega, so B^3 = 4*Omega^2*B and h(A) = c0 + c1*B + c2*B^2 (Putzer,
+    Amer. Math. Monthly 73, 2 (1966)), where c0, c1, c2 are the divided
+    differences h[x0], h[x+, x-], h[x0, x+, x-] at x0 = -2*gamma and
+    x+/- = x0 +/- 2*Omega.  The Leibniz rule for x*h(x) = e^{xt} - 1 divides
+    each only by x0 or x-, which never vanish, so one real form covers
+    critical damping and the free particle.  ``t`` may be an array of times:
+    the result is then a MomentTrajectory on those times, each row equal to
+    the call for its time alone.
     """
     ts = np.asarray(t, dtype=float).reshape(-1)
-    if p.is_critical():
-        hi = _modal_moments(s0, replace(p, omega0=p.omega0 * (1.0 + CRITICAL_NUDGE)), d, ts)
-        lo = _modal_moments(s0, replace(p, omega0=p.omega0 * (1.0 - CRITICAL_NUDGE)), d, ts)
-        vec = 0.5 * (hi + lo)
-    else:
-        vec = _modal_moments(s0, p, d, ts)
+    M, g, w = p.M, p.gamma, p.omega0
+    A = np.array([[0.0, 0.0, 1.0 / M], [0.0, -4.0 * g, -M * w ** 2],
+                  [-2.0 * M * w ** 2, 2.0 / M, -2.0 * g]])
+    y0 = np.array([s0.q2, s0.p2, s0.qp], dtype=float)
+    v = A @ y0 + np.array([2.0 * d.Dqq, 2.0 * d.Dpp, -4.0 * d.Dpq])
+    Bv = v @ A.T + 2.0 * g * v
+    om2 = (g - w) * (g + w)  # Omega^2
+    x0, Om = -2.0 * g, cmath.sqrt(om2)
+    xp = -2.0 * w * w / (g + Om) if g >= w else x0 + 2.0 * Om
+    xm = x0 - 2.0 * Om
+    hp = ts + 0j if xp == 0.0 else _expm1(xp * ts) / xp  # h(0) = t: the free particle
+    hm = _expm1(xm * ts) / xm
+    # E1 = e^{x0 t} sinh(2 Omega t)/2 Omega, E2 = e^{x0 t}(cosh 2 Omega t - 1)/4 Omega^2:
+    # series while |Omega t| < 1, then exponentials (e^{x0 t} sinh would be 0 * inf)
+    s = om2 * ts * ts
+    far = np.abs(s) >= 1.0
+    sn = np.clip(s, -1.0, 1.0)
+    e0, ep, em = np.exp(x0 * ts), np.exp(xp * ts), np.exp(xm * ts)
+    den = Om or 1.0  # no time is far when Omega = 0
+    E1 = np.where(far, ((ep - em) / (4.0 * den)).real, e0 * ts * _shc(4.0 * sn))
+    E2 = np.where(far, ((ep + em - 2.0 * e0) / (8.0 * den * den)).real,
+                  0.5 * e0 * ts * ts * _shc(sn) ** 2)
+    c0 = np.expm1(x0 * ts) / x0
+    c1 = (E1 - 0.5 * (hp + hm).real) / x0
+    c2 = ((E2 - (E1 - hp) / xm) / x0).real
+    BBv = Bv @ A.T + 2.0 * g * Bv
+    y = y0 + c0[:, None] * v + c1[:, None] * Bv + c2[:, None] * BBv
     if np.ndim(t) == 0:
-        return MomentState(vec[0, 0].real, vec[0, 1].real, vec[0, 2].real, t=t)
-    return MomentTrajectory(ts, vec[:, 0].real, vec[:, 1].real, vec[:, 2].real)
+        return MomentState(float(y[0, 0]), float(y[0, 1]), float(y[0, 2]), t=t)
+    return MomentTrajectory(ts, y[:, 0], y[:, 1], y[:, 2])
 
 
 def free_particle_longtime(
@@ -276,26 +301,11 @@ def free_particle_longtime(
     hbar: float = 1.0,
     kB: float = 1.0,
 ) -> Union[MomentState, MomentTrajectory]:
-    """Free-particle moments via the omega0 -> 0 limit of the oscillator solution.
+    """Free-particle moments: ``analytic_solution`` at omega0 = 0.
 
-    Evaluates the full analytic solution at omega0 = 1e-6*gamma and
-    1e-6*gamma/sqrt(2) and Richardson-extrapolates in omega0^2.  Long-time
-    behaviour: <p^2> -> M hbar gamma coth(hbar gamma / kB T) and <q^2> grows
-    diffusively with slope kB*T/(M*gamma).  ``t`` may be an array of times,
-    as in ``analytic_solution``; the diffusion constants are then computed
-    once per omega0, not once per time.
+    Long-time behaviour: <p^2> -> M hbar gamma coth(hbar gamma / kB T) and
+    <q^2> grows diffusively with slope kB*T/(M*gamma).  ``t`` may be an array
+    of times, as in ``analytic_solution``.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-
-    def at(omega0: float):
-        p = SystemParams(omega0=omega0, T=T, gamma=gamma, M=M, hbar=hbar, kB=kB)
-        return analytic_solution(s0, p, diffusion_constants(p), t)
-
-    w = 1e-6 * gamma
-    f_h = at(w)                      # step h = w^2 in the omega0^2 expansion
-    f_h2 = at(w / math.sqrt(2.0))    # step h/2
-    q2, p2, qp = (2.0 * f_h2.q2 - f_h.q2, 2.0 * f_h2.p2 - f_h.p2, 2.0 * f_h2.qp - f_h.qp)
-    if isinstance(f_h, MomentState):
-        return MomentState(q2, p2, qp, t=t)
-    return MomentTrajectory(f_h.t, q2, p2, qp)
+    p = SystemParams(omega0=0.0, T=T, gamma=gamma, M=M, hbar=hbar, kB=kB)
+    return analytic_solution(s0, p, diffusion_constants(p), t)

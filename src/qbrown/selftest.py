@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .coefficients import alpha_pair, alpha_prime_free
-from .core import SystemParams, xcothx, xcothx_m1
+from .core import SystemParams, xcothx
 from .diffusion import (
     breakdown_temperature,
     diffusion_constants,
@@ -66,12 +66,6 @@ def _check_xcothx():
             e = cmath.exp(-2.0 * z)
             expo = z * (1.0 + e) / (1.0 - e)
             assert abs(series - expo) / abs(expo) < 1e-13
-    # pole-sum identity with analytic tail
-    n = np.arange(1, 10 ** 6 + 1, dtype=float)
-    for x in (0.1, 1.0, 10.0):
-        partial = float(np.sum(2 * x * x / (x * x + n * n * math.pi ** 2)))
-        tail = 2 * x * x / math.pi ** 2 * (1e-6 - 0.5e-12)
-        assert abs(partial + tail - xcothx_m1(x).real) < 1e-8
 
 
 def _check_alpha_limits():

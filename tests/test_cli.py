@@ -183,10 +183,44 @@ class TestMomentsCmd:
         v = rows[1][1]
         assert float(v) == float(repr(float(v)))  # full precision survives
 
+    def test_tiny_omega0_analytic_matches_numeric(self, capsys):
+        # omega0 = 1e-8: the modal solve wrote q2_analytic = 2, 4, 4, 4 here
+        code, out, _ = run_cli(["moments", "--omega0", "1e-8", "--T", "1", "--t-end", "1",
+                                "--points", "4"], capsys)
+        assert code == 0
+        rows = [[float(v) for v in r] for r in parse_csv(out)[2]]
+        assert len(rows) == 5
+        for r in rows:
+            scale = max(abs(v) for v in r[1:4])
+            assert max(abs(r[i] - r[i + 3]) for i in (1, 2, 3)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("flags, what", [
+        (["--t-end", "-1"], "--t-end"),
+        (["--t-end", "inf"], "--t-end"),
+        (["--t-end", "nan"], "--t-end"),
+        (["--dt", "-0.1"], "--dt"),
+        (["--dt", "inf"], "--dt"),
+    ])
+    def test_invalid_time_is_configuration_error(self, flags, what, capsys, tmp_path):
+        out = tmp_path / "moments.csv"
+        code, _, err = run_cli(["moments", "--out", str(out)] + flags, capsys)
+        assert code == 1
+        assert f"configuration error: {what}" in err
+        assert not out.exists()
+
+    def test_zero_time_options_mean_default(self, capsys):
+        code, out, _ = run_cli(["moments", "--t-end", "0", "--dt", "0", "--points", "4"],
+                               capsys)
+        assert code == 0
+        rows = parse_csv(out)[2]
+        assert float(rows[-1][0]) == pytest.approx(10.0)  # 10/gamma
+
     def test_bare_arithmetic_error_is_numerical_failure(self, capsys):
-        # M^2 underflows to 0 in the equilibrium <q^2>: a ZeroDivisionError,
-        # reported as exit 2, not as a traceback and Python's exit 1
-        code, out, err = run_cli(["moments", "--M", "1e-300", "--t-end", "0.1"], capsys)
+        # gamma^2 - omega0^2 underflows, so alpha' divides by (lambda2 - lambda1)^2
+        # = 0: a ZeroDivisionError, reported as exit 2, not as a traceback and
+        # Python's exit 1
+        code, out, err = run_cli(["moments", "--gamma", "1e-170", "--omega0", "2e-170",
+                                  "--t-end", "0.1"], capsys)
         assert code == 2
         assert "numerical failure: ZeroDivisionError" in err
         assert out == ""
@@ -202,7 +236,8 @@ class TestFreeParticleCmd:
         val, ref, gap = table["p2_longtime"]
         assert ref == pytest.approx(1.3130352854993313, rel=1e-12)
         assert abs(gap) < 1e-3
-        assert abs(table["q2_slope"][2]) < 0.01
+        # exact at omega0 = 0: the Richardson extrapolation left a 9.4e-5 gap
+        assert abs(table["q2_slope"][2]) < 1e-12
         assert abs(table["alpha_limit"][2]) < 1e-6
         assert abs(table["alpha_prime_limit"][2]) < 1e-6
 
@@ -262,6 +297,8 @@ class TestNonFiniteOutput:
         # critical band
         (["coeffs", "--gamma", "1e-170", "--omega0", "2e-170", "--sweep", "T=0.5:1",
           "--points", "2"], "alpha_prime"),
+        # 1/M = 1e300 overflows the moment matrix products
+        (["moments", "--M", "1e-300", "--t-end", "0.1"], "q2_analytic"),
     ])
     def test_exit_2_without_csv(self, argv, column, capsys, tmp_path):
         out_file = tmp_path / "out.csv"

@@ -136,19 +136,6 @@ class TestStep:
         assert np.abs(diag.imag).max() < 1e-12
         assert diag.real.min() >= -1e-9
 
-    def test_grid_convergence_under_dx_halving(self):
-        # halving dx from the default-resolution spacing moves moments < 0.2%
-        # (the N^-4 extraction bias dominates: 0.11% at N=128, 0.007% at 256)
-        m = displaced()
-        L = 8.0 * math.sqrt(1.45 * EQ.q2)
-        results = []
-        for N in (128, 256):
-            g = gaussian_state(m, N=N, L=L)
-            _, samples = evolve(g, P, D, 0.4, sample_every=10 ** 6)
-            results.append(samples[-1])
-        assert results[0]["q2"] == pytest.approx(results[1]["q2"], rel=2e-3)
-        assert results[0]["p2"] == pytest.approx(results[1]["p2"], rel=2e-3)
-
     def test_boundary_mass_warning(self):
         # a box barely wider than the state leaks into the clamped border
         m = MomentState(1.0, 1.0, 0.0)
