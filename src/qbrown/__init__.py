@@ -6,21 +6,18 @@ second-moment dynamics, Matsubara-sum thermodynamic reference values, and a
 direct grid evolution of the density-matrix master equation.
 """
 
-from .coefficients import AlphaPair, CutoffMode, alpha_arrays, alpha_pair, alpha_prime_free
+from .coefficients import AlphaPair, alpha_arrays, alpha_pair, alpha_prime_free
 from .core import (
     BracketError,
-    EigenPair,
     NoEquilibriumError,
     PoleError,
     QbmError,
-    Regime,
     StabilityError,
     StateError,
     StepSizeError,
     SystemParams,
     TemperatureError,
     decay_rates,
-    eigenvalues,
     xcothx,
     xcothx_m1,
 )
@@ -70,11 +67,9 @@ __all__ = [
     "AnalyticCoefficients",
     "BoundaryMassWarning",
     "BracketError",
-    "CutoffMode",
     "CutoffSensitivityWarning",
     "DensityGrid",
     "DiffusionConstants",
-    "EigenPair",
     "MatsubaraConfig",
     "MomentState",
     "MomentTrajectory",
@@ -82,7 +77,6 @@ __all__ = [
     "PoleError",
     "PositivityReport",
     "QbmError",
-    "Regime",
     "StabilityError",
     "StateError",
     "StepSizeError",
@@ -98,7 +92,6 @@ __all__ = [
     "diffusion_constants",
     "drude_friction",
     "decay_rates",
-    "eigenvalues",
     "equilibrium_moments",
     "evolve",
     "evolve_numeric",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import selftest as _selftest
 from .coefficients import alpha_arrays, alpha_pair, alpha_prime_free
-from .core import QbmError, SystemParams
+from .core import QbmError, StepSizeError, SystemParams
 from .diffusion import diffusion_constants, positivity_delta, tc_curve
 from .dynamics import (
     MomentState,
@@ -36,6 +36,9 @@ FLOAT_FMT = "%.17g"
 GRID_MOMENT_GAP = 1e-2
 GRID_TRACE_DRIFT = 1e-6
 GRID_HERMITICITY = 1e-9
+# moments rejects a run of more RK4 steps: the default dt takes
+# 2000*max(gamma, omega0)/gamma steps, 2e6 at omega0/gamma = 1000
+MAX_MOMENT_STEPS = 10 ** 7
 
 # single source of truth for emitted headers; --help text is built from this
 COLUMNS = {
@@ -243,9 +246,9 @@ def build_parser() -> _Parser:
     p.add_argument("--snapshot-out", type=str, default=None,
                    help="write the final rho(x,y) snapshot CSV here")
 
-    sub.add_parser("selftest", help="run the built-in invariant suite",
-                   description="Runs the full invariant suite; exits nonzero on any "
-                               "failure.")
+    sub.add_parser("selftest", help="run the install checks",
+                   description="Runs four install checks (no pytest needed); exits 2 "
+                               "on any failure.")
     return parser
 
 
@@ -424,9 +427,15 @@ def _run_moments(cfg: RunConfig) -> int:
     s0 = MomentState(cfg.options["q2"], cfg.options["p2"], cfg.options["qp"])
     t_end = t_end or 10.0 / p.gamma
     dt = dt or 0.005 / max(p.gamma, p.omega0)
+    if t_end / dt > MAX_MOMENT_STEPS:
+        raise ConfigError(f"--dt {dt:g} takes more than {MAX_MOMENT_STEPS} RK4 steps "
+                          f"to --t-end {t_end:g}")
     n_steps = max(1, int(round(t_end / dt)))
     stride = max(1, n_steps // cfg.points)
-    traj = evolve_numeric(s0, p, d, t_end, dt, stride=stride)
+    try:
+        traj = evolve_numeric(s0, p, d, t_end, dt, stride=stride)
+    except StepSizeError as exc:  # checked before the first step
+        raise ConfigError(f"--dt: {exc}") from exc
     a = analytic_solution(s0, p, d, traj.t)
     rows = list(zip(*(v.tolist() for v in (traj.t, a.q2, a.p2, a.qp,
                                            traj.q2, traj.p2, traj.qp))))

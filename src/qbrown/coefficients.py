@@ -13,7 +13,6 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -37,11 +36,6 @@ _TINY = 1e-300
 CRITICAL_NUDGE = 1e-7
 
 
-class CutoffMode(Enum):
-    FINITE = "finite"
-    INFINITE = "infinite"
-
-
 @dataclass(frozen=True)
 class AlphaPair:
     """alpha, alpha' and the size of the imaginary residue discarded.
@@ -49,13 +43,11 @@ class AlphaPair:
     For underdamped systems the two complex decay modes enter as a conjugate
     pair, so both coefficients are real up to rounding; ``residual_imag`` is
     the larger relative imaginary part that was dropped.  ``alpha_arrays``
-    returns the same record with array fields; its ``cutoff_mode`` is
-    INFINITE only when no element has a finite cutoff.
+    returns the same record with array fields.
     """
 
     alpha: float
     alpha_prime: float
-    cutoff_mode: CutoffMode
     residual_imag: float
 
 
@@ -136,15 +128,13 @@ def alpha_arrays(p: SystemParams) -> AlphaPair:
 
     residual = np.maximum(np.abs(a.imag) / np.maximum(np.abs(a.real), _TINY),
                           np.abs(ap.imag) / np.maximum(np.abs(ap.real), _TINY))
-    mode = CutoffMode.INFINITE if infinite else CutoffMode.FINITE
     if logger.isEnabledFor(logging.DEBUG):
         # routine below the breakdown temperature; the positivity module, not
         # this one, decides what negative coefficients mean physically
         bad = np.count_nonzero((a.real <= 0.0) | (ap.real < 0.0))
         if bad:
             logger.debug("non-positive coefficients at %d of %d points", bad, w.size)
-    return AlphaPair(a.real.reshape(shape), ap.real.reshape(shape), mode,
-                     residual.reshape(shape))
+    return AlphaPair(a.real.reshape(shape), ap.real.reshape(shape), residual.reshape(shape))
 
 
 def alpha_scalar(w: float, T: float, g: float, wc: float, hbar: float,
@@ -197,8 +187,7 @@ def alpha_pair(p: SystemParams) -> AlphaPair:
     if p.shape:
         raise ValueError("alpha_pair takes one system; use alpha_arrays for a batch")
     a, ap, residual = alpha_scalar(p.omega0, p.T, p.gamma, p.omega_c, p.hbar, p.kB)
-    mode = CutoffMode.INFINITE if p.omega_c == math.inf else CutoffMode.FINITE
-    return AlphaPair(a, ap, mode, residual)
+    return AlphaPair(a, ap, residual)
 
 
 def alpha_prime_free(gamma: float, T: float, hbar: float = 1.0, kB: float = 1.0) -> float:

@@ -1,4 +1,4 @@
-"""Physical parameters, damping eigenvalues, and the x*coth(x) kernel.
+"""Physical parameters, decay rates, and the x*coth(x) kernel.
 
 Everything here is a pure function of its inputs; the dataclasses are frozen
 and safe to share across threads.  The kernels take numpy arrays and work
@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -63,12 +62,6 @@ class StateError(QbmError):
     """Invalid physical state (uncertainty violation, grid too small, NaN)."""
 
 
-class Regime(Enum):
-    OVERDAMPED = "overdamped"
-    UNDERDAMPED = "underdamped"
-    CRITICAL = "critical"
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Parameters of the damped oscillator and its bath.
@@ -114,11 +107,6 @@ class SystemParams:
         """Broadcast shape of the fields; () for a single system."""
         return self._shape
 
-    @property
-    def chi(self) -> float:
-        """hbar*omega_c / (2 kB T); inf when the cutoff is removed."""
-        return self.hbar * self.omega_c / (2.0 * self.kB * self.T)
-
     def is_critical(self) -> bool:
         return abs(self.gamma - self.omega0) <= CRITICAL_TOL * self.gamma
 
@@ -128,18 +116,10 @@ def _holds(cond) -> bool:
     return cond if cond.__class__ is bool else bool(np.all(cond))
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """Decay eigenvalues lambda_{1,2} = -gamma +/- Omega, Omega = sqrt(gamma^2 - omega0^2)."""
-
-    lambda1: complex
-    lambda2: complex
-    Omega: complex
-    regime: Regime
-
-
 def decay_rates(omega0, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lambda1, lambda2 and Omega as complex arrays, element by element.
+    """lambda1, lambda2 = -gamma +/- Omega and Omega = sqrt(gamma^2 - omega0^2)
+    as complex arrays, element by element: the roots of
+    lambda^2 + 2*gamma*lambda + omega0^2 = 0.
 
     lambda1 takes the '+' branch.  Where gamma >= omega0 it is computed in
     the rationalized form -omega0^2/(gamma + Omega), which is exact where
@@ -156,19 +136,6 @@ def decay_rates(omega0, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     l1_re = np.where(g >= w, -(w * w) / (g + om_re), -g)
     l1_im = np.where(g >= w, 0.0, om_im)
     return (_complex(l1_re, l1_im), _complex(-g - om_re, -om_im), _complex(om_re, om_im))
-
-
-def eigenvalues(p: SystemParams) -> EigenPair:
-    """Eigenvalues of the damped-oscillator equation of motion (one system);
-    see ``decay_rates``."""
-    l1, l2, om = decay_rates(p.omega0, p.gamma)
-    if p.is_critical():
-        regime = Regime.CRITICAL
-    elif p.gamma > p.omega0:
-        regime = Regime.OVERDAMPED
-    else:
-        regime = Regime.UNDERDAMPED
-    return EigenPair(complex(l1), complex(l2), complex(om), regime)
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

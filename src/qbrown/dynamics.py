@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .core import (
     _holds,
 )
 from .diffusion import DiffusionConstants, diffusion_constants
-
-CSV_FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,6 @@ class MomentTrajectory:
     @property
     def final(self) -> MomentState:
         return self.state(len(self) - 1)
-
-    def write_csv(self, f: Union[str, TextIO]) -> None:
-        """Header ``t,q2,p2,qp``, one row per sample, 17 significant digits."""
-        if isinstance(f, str):
-            with open(f, "w", newline="") as fh:
-                self.write_csv(fh)
-            return
-        f.write("t,q2,p2,qp\r\n")
-        for i in range(len(self)):
-            row = (self.t[i], self.q2[i], self.p2[i], self.qp[i])
-            f.write(",".join(CSV_FLOAT_FMT % v for v in row) + "\r\n")
 
 
 @dataclass(frozen=True)
@@ -243,14 +230,17 @@ def _expm1(z: np.ndarray) -> np.ndarray:
     return np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 + 1j * (np.exp(a) * np.sin(b))
 
 
+# an overflow (1/M near 1e300, say) leaves inf or nan in the result, which
+# callers check; numpy need not warn about it as well
+@np.errstate(over="ignore", invalid="ignore")
 def analytic_solution(
     s0: MomentState, p: SystemParams, d: DiffusionConstants, t
 ) -> Union[MomentState, MomentTrajectory]:
     """Moments at time t from the exact solution, for every omega0 >= 0.
 
     With y = (q2, p2, qp) and y' = A y + b, y(t) = y0 + h(A)(A y0 + b) for
-    h(x) = (e^{xt} - 1)/x.  B = A + 2*gamma*I has eigenvalues 0 and
-    +/-2*Omega, so B^3 = 4*Omega^2*B and h(A) = c0 + c1*B + c2*B^2 (Putzer,
+    h(x) = (e^{xt} - 1)/x.  B = A + 2*gamma*I has the spectrum
+    {0, +/-2*Omega}, so B^3 = 4*Omega^2*B and h(A) = c0 + c1*B + c2*B^2 (Putzer,
     Amer. Math. Monthly 73, 2 (1966)), where c0, c1, c2 are the divided
     differences h[x0], h[x+, x-], h[x0, x+, x-] at x0 = -2*gamma and
     x+/- = x0 +/- 2*Omega.  The Leibniz rule for x*h(x) = e^{xt} - 1 divides

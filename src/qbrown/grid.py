@@ -28,8 +28,9 @@ import numpy as np
 
 from .core import StabilityError, StateError, SystemParams
 from .diffusion import DiffusionConstants
-from .dynamics import CSV_FLOAT_FMT, MomentState, analytic_solution
+from .dynamics import MomentState, analytic_solution
 
+CSV_FLOAT_FMT = "%.17g"
 _EDGE_FRACTION = 1e-10
 # max_k |16 sin k - 2 sin 2k|, reached at cos k = 1 - sqrt(3/2)
 _D1_SYMBOL_MAX = 4.0 * math.sqrt(1.0 - (1.0 - math.sqrt(1.5)) ** 2) * (3.0 + math.sqrt(1.5))
@@ -368,7 +369,6 @@ def evolve(
     t_end: float,
     dt: Optional[float] = None,
     sample_every: int = 50,
-    hbar: Optional[float] = None,
 ) -> tuple[DensityGrid, list[dict]]:
     """Step to t_end, recording grid moments / trace / hermiticity samples.
 
@@ -376,15 +376,14 @@ def evolve(
     and a list of sample dicts with keys t, q2, p2, qp, trace, herm.
     """
     n_steps, dt = plan_steps(g, p, d, t_end, dt)
-    hbar = p.hbar if hbar is None else hbar
 
     op = _MasterOperator(g.x, p, d)
     values = g.values.copy()
-    samples = [_sample(g.x, values, g.t, hbar)]
+    samples = [_sample(g.x, values, g.t, p.hbar)]
     for k in range(n_steps):
         op.lawson_inplace(values, dt)
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            samples.append(_sample(g.x, values, g.t + (k + 1) * dt, hbar))
+            samples.append(_sample(g.x, values, g.t + (k + 1) * dt, p.hbar))
     _check_boundary(values)
     return DensityGrid(g.x, values, g.t + t_end), samples
 

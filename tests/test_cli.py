@@ -4,9 +4,11 @@ import csv
 import io
 import logging
 import math
+import time
 
 import pytest
 
+from qbrown import selftest
 from qbrown.cli import COLUMNS, build_parser, main
 from qbrown.coefficients import alpha_pair
 from qbrown.core import SystemParams
@@ -200,10 +202,16 @@ class TestMomentsCmd:
         (["--t-end", "nan"], "--t-end"),
         (["--dt", "-0.1"], "--dt"),
         (["--dt", "inf"], "--dt"),
+        # above the accuracy bound 0.01/max(gamma, omega0)
+        (["--dt", "0.5"], "--dt"),
+        # ~1e10 RK4 steps
+        (["--dt", "1e-9", "--points", "3"], "--dt"),
     ])
     def test_invalid_time_is_configuration_error(self, flags, what, capsys, tmp_path):
         out = tmp_path / "moments.csv"
+        t0 = time.perf_counter()
         code, _, err = run_cli(["moments", "--out", str(out)] + flags, capsys)
+        assert time.perf_counter() - t0 < 1.0
         assert code == 1
         assert f"configuration error: {what}" in err
         assert not out.exists()
@@ -347,5 +355,12 @@ class TestSelftestCmd:
     def test_passes_on_clean_checkout(self, capsys):
         code, out, _ = run_cli(["selftest"], capsys)
         assert code == 0
-        assert "all 12 checks passed" in out
-        assert out.count("ok   ") == 12
+        assert "all 4 checks passed" in out
+        assert out.count("ok   ") == 4
+
+    def test_failure_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "PINNED_ALPHA", selftest.PINNED_ALPHA + 1e-9)
+        code, out, _ = run_cli(["selftest"], capsys)
+        assert code == 2
+        assert "FAIL pinned alpha, alpha'" in out
+        assert "selftest: 1/4 checks failed" in out

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qbrown.coefficients import (
-    CutoffMode,
     alpha_arrays,
     alpha_pair,
     alpha_prime_free,
@@ -14,11 +13,11 @@ from qbrown.coefficients import (
 )
 from qbrown.core import PoleError, SystemParams, TemperatureError, xcothx
 from qbrown.diffusion import diffusion_constants, positivity_delta
+from qbrown.selftest import PINNED_ALPHA, PINNED_ALPHA_PRIME
 
-# 40-digit evaluation of the closed forms at gamma=1, omega0=2, kB*T=hbar*gamma,
-# omega_c=inf: alpha = 0.97991337334597421156, alpha' = 0.077730261384691019992
-PINNED_ALPHA = 0.9799133733459742
-PINNED_ALPHA_PRIME = 0.07773026138469102
+# the pinned values round the 40-digit closed forms at gamma=1, omega0=2,
+# kB*T=hbar*gamma, omega_c=inf: alpha = 0.97991337334597421156,
+# alpha' = 0.077730261384691019992
 
 
 def params(omega0, T, **kw):
@@ -31,7 +30,6 @@ class TestAlphaPair:
         assert ab.alpha == pytest.approx(PINNED_ALPHA, rel=1e-13)
         assert ab.alpha_prime == pytest.approx(PINNED_ALPHA_PRIME, rel=1e-13)
         assert ab.residual_imag < 1e-10
-        assert ab.cutoff_mode is CutoffMode.INFINITE
 
     def test_free_particle_limit(self):
         # omega0 -> 0: alpha -> 1, alpha' -> alpha'_0
@@ -84,9 +82,6 @@ class TestAlphaPair:
 
 
 class TestFiniteCutoff:
-    def test_mode_flag(self):
-        assert alpha_pair(params(2.0, 1.0, omega_c=50.0)).cutoff_mode is CutoffMode.FINITE
-
     def test_convergence_to_infinite(self):
         ref = alpha_pair(params(2.0, 1.0))
         gaps = []
@@ -166,7 +161,6 @@ class TestBatchedKernel:
         p = SystemParams(omega0=np.array([0.5, 2.0]), T=np.array([[0.3], [3.0]]))
         ab = alpha_arrays(p)
         assert ab.alpha.shape == ab.alpha_prime.shape == ab.residual_imag.shape == (2, 2)
-        assert ab.cutoff_mode is CutoffMode.INFINITE
         one = alpha_pair(SystemParams(omega0=2.0, T=3.0))
         assert type(one.alpha) is float and (one.alpha, one.alpha_prime) == (
             ab.alpha[1, 1], ab.alpha_prime[1, 1])
@@ -220,6 +214,12 @@ class TestHighPrecisionReference:
     """The batched kernel against a 30-digit evaluation of the closed forms:
     under-, over- and critically damped, omega0 = 0, finite cutoff, and
     kB*T/(hbar*gamma) from 1e-3 to 1e3."""
+
+    def test_pinned_constants(self):
+        mp = pytest.importorskip("mpmath")
+        a_ref, ap_ref, _ = _mp_closed_forms(mp, 2.0, 1.0, 1.0, math.inf)
+        assert PINNED_ALPHA == pytest.approx(a_ref, rel=1e-15)
+        assert PINNED_ALPHA_PRIME == pytest.approx(ap_ref, rel=1e-15)
 
     def test_grid(self):
         mp = pytest.importorskip("mpmath")

@@ -1,4 +1,4 @@
-"""Core parameter handling, eigenvalues, and the x*coth(x) kernel."""
+"""Core parameter handling, decay rates, and the x*coth(x) kernel."""
 
 import cmath
 import math
@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from qbrown.core import (
     PoleError,
-    Regime,
     SystemParams,
     decay_rates,
-    eigenvalues,
     xcothx,
     xcothx_m1,
 )
@@ -27,11 +25,6 @@ class TestSystemParams:
         p = SystemParams(omega0=1.0, T=1.0)
         assert (p.M, p.gamma, p.hbar, p.kB) == (1.0, 1.0, 1.0, 1.0)
         assert math.isinf(p.omega_c)
-
-    def test_chi(self):
-        p = SystemParams(omega0=1.0, T=2.0, omega_c=8.0)
-        assert p.chi == 8.0 / 4.0
-        assert math.isinf(SystemParams(omega0=1.0, T=2.0).chi)
 
     @pytest.mark.parametrize("kw", [
         dict(omega0=-1.0, T=1.0),
@@ -69,54 +62,58 @@ class TestSystemParams:
         assert p.is_critical().shape == (3,)
 
 
+def rates(omega0, gamma):
+    """(lambda1, lambda2, Omega) of one system as Python complex numbers."""
+    return tuple(complex(v) for v in decay_rates(omega0, gamma))
+
+
 class TestEigenvalues:
+    """decay_rates: the roots lambda_{1,2} = -gamma +/- Omega of the
+    damped-oscillator characteristic equation."""
+
     def test_overdamped_example(self):
         # lambda_{1,2} = -2 +/- sqrt(3) by hand
-        eig = eigenvalues(SystemParams(omega0=1.0, T=1.0, gamma=2.0))
-        assert eig.lambda1 == pytest.approx(-2.0 + math.sqrt(3.0), rel=1e-14)
-        assert eig.lambda2 == pytest.approx(-2.0 - math.sqrt(3.0), rel=1e-14)
-        assert eig.regime is Regime.OVERDAMPED
-        assert eig.lambda1.imag == 0.0 and eig.lambda2.imag == 0.0
-        assert eig.lambda1.real < 0 and eig.lambda2.real < 0
+        l1, l2, _ = rates(1.0, 2.0)
+        assert l1 == pytest.approx(-2.0 + math.sqrt(3.0), rel=1e-14)
+        assert l2 == pytest.approx(-2.0 - math.sqrt(3.0), rel=1e-14)
+        assert l1.imag == 0.0 and l2.imag == 0.0
+        assert l1.real < 0 and l2.real < 0
 
     def test_critical_example(self):
-        eig = eigenvalues(SystemParams(omega0=1.0, T=1.0, gamma=1.0))
-        assert eig.lambda1 == pytest.approx(-1.0, abs=1e-9)
-        assert eig.lambda2 == pytest.approx(-1.0, abs=1e-9)
-        assert eig.regime is Regime.CRITICAL
+        l1, l2, om = rates(1.0, 1.0)
+        assert (l1, l2, om) == (-1.0, -1.0, 0.0)
 
     def test_underdamped_example(self):
-        eig = eigenvalues(SystemParams(omega0=2.0, T=1.0, gamma=1.0))
-        assert eig.lambda1 == pytest.approx(-1.0 + 1j * math.sqrt(3.0), rel=1e-14)
-        assert eig.lambda2 == pytest.approx(complex(eig.lambda1).conjugate(), rel=1e-14)
-        assert eig.regime is Regime.UNDERDAMPED
-        assert eig.lambda1 * eig.lambda2 == pytest.approx(4.0, rel=1e-13)
+        l1, l2, _ = rates(2.0, 1.0)
+        assert l1 == pytest.approx(-1.0 + 1j * math.sqrt(3.0), rel=1e-14)
+        assert l2 == pytest.approx(l1.conjugate(), rel=1e-14)
+        assert l1 * l2 == pytest.approx(4.0, rel=1e-13)
 
     def test_critical_tolerance_is_relative(self):
-        assert eigenvalues(SystemParams(omega0=1.0 + 5e-10, T=1.0)).regime is Regime.CRITICAL
-        assert eigenvalues(SystemParams(omega0=1.0 + 5e-9, T=1.0)).regime is Regime.UNDERDAMPED
+        assert SystemParams(omega0=1.0 + 5e-10, T=1.0).is_critical()
+        assert not SystemParams(omega0=1.0 + 5e-9, T=1.0).is_critical()
+        assert SystemParams(omega0=1e3 * (1.0 + 5e-10), T=1.0, gamma=1e3).is_critical()
 
     @given(gamma=scales, omega0=scales)
     @settings(max_examples=300, deadline=None)
     def test_identities_property(self, gamma, omega0):
-        eig = eigenvalues(SystemParams(omega0=omega0, T=1.0, gamma=gamma))
-        assert abs(eig.lambda1 * eig.lambda2 - omega0 ** 2) <= 1e-12 * omega0 ** 2
-        assert abs(eig.lambda1 + eig.lambda2 + 2.0 * gamma) <= 1e-12 * 2.0 * gamma
+        l1, l2, _ = rates(omega0, gamma)
+        assert abs(l1 * l2 - omega0 ** 2) <= 1e-12 * omega0 ** 2
+        assert abs(l1 + l2 + 2.0 * gamma) <= 1e-12 * 2.0 * gamma
 
     def test_identities_bulk(self):
         # 1e4 deterministic pseudo-random parameter pairs
         rng = np.random.default_rng(20260808)
         gs = 10.0 ** rng.uniform(-3, 3, 10_000)
         ws = 10.0 ** rng.uniform(-3, 3, 10_000)
-        for g, w in zip(gs, ws):
-            eig = eigenvalues(SystemParams(omega0=float(w), T=1.0, gamma=float(g)))
-            assert abs(eig.lambda1 * eig.lambda2 - w * w) <= 1e-12 * w * w
-            assert abs(eig.lambda1 + eig.lambda2 + 2.0 * g) <= 1e-12 * 2.0 * g
+        l1, l2, _ = decay_rates(ws, gs)
+        assert np.all(np.abs(l1 * l2 - ws * ws) <= 1e-12 * ws * ws)
+        assert np.all(np.abs(l1 + l2 + 2.0 * gs) <= 1e-12 * 2.0 * gs)
 
     def test_omega0_zero(self):
-        eig = eigenvalues(SystemParams(omega0=0.0, T=1.0, gamma=1.5))
-        assert eig.lambda1 == 0.0
-        assert eig.lambda2 == pytest.approx(-3.0, rel=1e-14)
+        l1, l2, _ = rates(0.0, 1.5)
+        assert l1 == 0.0
+        assert l2 == pytest.approx(-3.0, rel=1e-14)
 
     def test_decay_rates_match_scalar_complex_formulas(self):
         # the element-wise kernel reproduces the cmath forms bit for bit

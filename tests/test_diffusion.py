@@ -18,10 +18,11 @@ from qbrown.diffusion import (
     positivity_delta,
     tc_curve,
 )
+from qbrown.selftest import PINNED_TC_RATIO_1
 
-# 40-digit bisection of Delta(T) = 0 on the closed forms
+# 40-digit bisection of Delta(T) = 0 on the closed forms (PINNED_TC_RATIO_1
+# is the one at omega0/gamma = 1, critical damping)
 TC_SMALL_RATIO = 0.41677833375366017   # omega0/gamma = 1e-3
-TC_RATIO_ONE = 0.47604425738485145     # omega0/gamma = 1 (critical damping)
 TC_FREE = 0.41677827980048235          # x coth x - 1 - x^2/4 = 0 root
 
 
@@ -216,7 +217,7 @@ class TestBreakdownTemperature:
         got = breakdown_temperature(1.0)
         grid = brute_force_tc(1.0)
         assert abs(got - grid) < grid * 2.0 * math.log(1e6) / 10_000  # one grid cell
-        assert got == pytest.approx(TC_RATIO_ONE, rel=1e-9)
+        assert got == pytest.approx(PINNED_TC_RATIO_1, rel=1e-9)
 
     def test_single_sign_change_across_ratios(self):
         for ratio in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
@@ -268,7 +269,7 @@ class TestBatchedSolver:
         tcs = breakdown_temperature(ratios)
         assert tcs.shape == (2, 2)
         assert tcs[0, 0] == pytest.approx(TC_SMALL_RATIO, rel=1e-9)
-        assert tcs[0, 1] == pytest.approx(TC_RATIO_ONE, rel=1e-9)
+        assert tcs[0, 1] == pytest.approx(PINNED_TC_RATIO_1, rel=1e-9)
         assert type(breakdown_temperature(0.3)) is float
         assert tcs[1, 0] == breakdown_temperature(0.3)
 

@@ -1,6 +1,5 @@
 """Second-moment dynamics: exact solution vs RK4 and mpmath, equilibrium, free particle."""
 
-import io
 import math
 
 import numpy as np
@@ -227,7 +226,7 @@ ORACLE_TIMES = [0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0, 1e3, 1e4]
 
 def expm_moments(s0, p, d, ts):
     """(q2, p2, qp) rows from a 50-digit mpmath expm of the augmented 4x4
-    system (y, 1)' = [[A, b], [0, 0]] (y, 1): no eigenvalues, no limits."""
+    system (y, 1)' = [[A, b], [0, 0]] (y, 1): no modes, no limits."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         M, g, w = (mp.mpf(x) for x in (p.M, p.gamma, p.omega0))
@@ -378,18 +377,3 @@ class TestFreeParticle:
         x = hbar * gamma / (kB * T)
         assert got.p2 == pytest.approx(M * hbar * gamma / math.tanh(x), rel=1e-14)
 
-
-class TestTrajectoryCsv:
-    def test_header_and_digits(self):
-        p = SystemParams(omega0=2.0, T=1.0)
-        d = diffusion_constants(p)
-        traj = evolve_numeric(MomentState(1.0, 1.0, 0.0), p, d, 0.1, 0.005, stride=5)
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        lines = buf.getvalue().split("\r\n")
-        assert lines[0] == "t,q2,p2,qp"
-        first = lines[1].split(",")
-        assert len(first) == 4
-        # 17 significant digits survive a round-trip
-        assert float(first[1]) == traj.q2[0]
-        assert len(lines) == 2 + len(traj) + (0 if lines[-1] else 1) - 1
