@@ -412,8 +412,8 @@ def _run_equilibrium(cfg: RunConfig) -> int:
     return 0
 
 
-def _time_option(cfg: RunConfig, name: str) -> Optional[float]:
-    """A time option's value; None and 0 ask for the default."""
+def _nonnegative_option(cfg: RunConfig, name: str) -> Optional[float]:
+    """A time or length option's value; None and 0 ask for the default."""
     v = cfg.options.get(name)
     if v is not None and not 0.0 <= v < math.inf:
         raise ConfigError(f"--{name.replace('_', '-')} must be finite and non-negative")
@@ -421,7 +421,7 @@ def _time_option(cfg: RunConfig, name: str) -> Optional[float]:
 
 
 def _run_moments(cfg: RunConfig) -> int:
-    t_end, dt = _time_option(cfg, "t_end"), _time_option(cfg, "dt")
+    t_end, dt = _nonnegative_option(cfg, "t_end"), _nonnegative_option(cfg, "dt")
     p = cfg.params()
     d = diffusion_constants(p)
     s0 = MomentState(cfg.options["q2"], cfg.options["p2"], cfg.options["qp"])
@@ -477,7 +477,8 @@ def _run_grid_validate(cfg: RunConfig) -> int:
         raise ConfigError("--N must be at least 5, the stencil width")
     if every < 1:
         raise ConfigError("--sample-every must be at least 1")
-    t_end = _time_option(cfg, "t_end")
+    t_end = _nonnegative_option(cfg, "t_end")
+    L = _nonnegative_option(cfg, "L")
     p = cfg.params()
     d = diffusion_constants(p)
     eq = equilibrium_moments(p, d)
@@ -485,14 +486,13 @@ def _run_grid_validate(cfg: RunConfig) -> int:
     if s0.uncertainty() < 0.25 * p.hbar ** 2:
         raise ConfigError("displaced state violates the uncertainty bound; raise T")
     t_end = t_end or 3.0 / p.gamma
-    L = cfg.options.get("L") or 0.0
-    if L <= 0:
-        L = suggested_half_width(1.05 * max(s0.q2, eq.q2), p, d, N=N)
+    L = L or suggested_half_width(1.05 * max(s0.q2, eq.q2), p, d, N=N)
     g0 = gaussian_state(s0, N=N, L=L, hbar=p.hbar)
-    steps, dt = plan_steps(g0, p, d, t_end)
+    plan = plan_steps(g0, p, d, t_end)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", BoundaryMassWarning)
-        final, samples = grid_evolve(g0, p, d, t_end, sample_every=every)
+        # the plan's own dt, so evolve takes exactly the plan reported below
+        final, samples = grid_evolve(g0, p, d, t_end, dt=plan.dt, sample_every=every)
     for w in caught:  # pass every warning on to the caller's filters
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     a = analytic_solution(s0, p, d, np.array([s["t"] for s in samples]))
@@ -508,7 +508,8 @@ def _run_grid_validate(cfg: RunConfig) -> int:
     drift = max(abs(s["trace"] - samples[0]["trace"]) for s in samples)
     herm = max(s["herm"] for s in samples)
     print(f"grid-validate: worst moment gap {worst:.3e}, trace drift {drift:.3e}, "
-          f"hermiticity residual {herm:.3e}, steps={steps} dt={dt:.6e}", file=sys.stderr)
+          f"hermiticity residual {herm:.3e}, steps={plan.steps} dt={plan.dt:.6e} K={plan.K}",
+          file=sys.stderr)
     problems = [f"{what} {value:.3e} >= {bound:g}" for what, value, bound in (
         ("moment gap", worst, GRID_MOMENT_GAP), ("trace drift", drift, GRID_TRACE_DRIFT),
         ("hermiticity residual", herm, GRID_HERMITICITY)) if not value < bound]

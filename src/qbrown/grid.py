@@ -15,6 +15,15 @@ on the diagonal, the kinetic term telescopes under the trace, and the
 position-diffusion term uses the antisymmetric first-derivative stencil
 composed with itself.  P is hermitian-symmetric, so exp(P dt/2) keeps
 rho = rho^dagger.
+
+The Dpp term damps coherences like exp(-p2c (x - y)^2 / 2 hbar^2), so the
+state is stored and stepped only on the band |x - y| <= K dx, with K worked
+out from the analytic moment trajectory (plan_steps).  Of the band only the
+upper half 0 <= y - x <= K dx is stored; the lower half is its mirror image
+under rho = rho^dagger.  The band is both less work per step and a larger
+step, since the friction bound grows with max |x - y|; at K = N - 1 it is
+the whole grid in N^2 cells.  The grid is expanded back to N x N only at the
+end.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -32,6 +41,12 @@ from .dynamics import MomentState, analytic_solution
 
 CSV_FLOAT_FMT = "%.17g"
 _EDGE_FRACTION = 1e-10
+# a Gaussian's |rho| at the band edge |x - y| = K dx, relative to its peak
+_BAND_EDGE = 1e-12
+# the update at m = 0 reads m <= 4, so a band of K >= 5 never reaches it
+_MIN_BAND = 5
+# analytic moment samples per call while planning the band
+_SAMPLE_CHUNK = 4096
 # max_k |16 sin k - 2 sin 2k|, reached at cos k = 1 - sqrt(3/2)
 _D1_SYMBOL_MAX = 4.0 * math.sqrt(1.0 - (1.0 - math.sqrt(1.5)) ** 2) * (3.0 + math.sqrt(1.5))
 # dt * R, below the radius 2.61 of the left half-disk inside RK4's stability region
@@ -39,7 +54,8 @@ _LAWSON_CFL = 2.5
 
 
 class BoundaryMassWarning(UserWarning):
-    """|rho| at the grid edge exceeds 1e-10 of the peak; results are suspect."""
+    """|rho| at the grid edge or the band edge exceeds 1e-10 of the peak;
+    results are suspect."""
 
 
 @dataclass
@@ -125,30 +141,34 @@ def gaussian_state(m: MomentState, N: int = 256, L: float = 0.0,
     return g
 
 
-def stencil_radius_bound(g: DensityGrid, p: SystemParams, d: DiffusionConstants) -> float:
+def _radius_bound(dx: float, K: int, p: SystemParams, d: DiffusionConstants) -> float:
     """R: an upper bound on the spectral radius of the stencil terms that
-    Lawson RK4 steps explicitly, as the sum of their operator-norm bounds.
+    Lawson RK4 steps explicitly on the band |x - y| <= K dx, as the sum of
+    their operator-norm bounds.
 
     With s = max_k |16 sin k - 2 sin 2k| (the symbol of the unscaled 4th-order
     first-derivative stencil) and |ca| = |cb| = |2i Dpq/hbar -+ gamma|:
       kinetic            (hbar/2M) * 64/(12 dx^2)
-      friction+anomalous 2L (|ca| + |cb|) * s/(12 dx)
+      friction+anomalous K dx (|ca| + |cb|) * s/(12 dx)
       position diffusion |Dqq| (2 s/(12 dx))^2
+    Zeroing the cells off the grid or off the band is a projection, so it
+    adds nothing.
     """
-    dx = g.dx
     c_kin = p.hbar / (2.0 * p.M) * 64.0 / (12.0 * dx * dx)
     d1 = _D1_SYMBOL_MAX / (12.0 * dx)
-    c_fric = 2.0 * g.L * 2.0 * math.hypot(2.0 * d.Dpq / p.hbar, p.gamma) * d1
+    c_fric = K * dx * 2.0 * math.hypot(2.0 * d.Dpq / p.hbar, p.gamma) * d1
     c_dqq = abs(d.Dqq) * (2.0 * d1) ** 2
     return c_kin + c_fric + c_dqq
 
 
 def stable_dt(g: DensityGrid, p: SystemParams, d: DiffusionConstants) -> float:
-    """Largest allowed step, 2.5/R with R = stencil_radius_bound: dt*|lambda|
-    <= 2.5 for every eigenvalue lambda of the explicitly stepped part, inside
-    the radius 2.61 to which RK4's stability region fills the left half-plane
-    (2.83 on the imaginary axis, 2.79 on the negative real one)."""
-    return _LAWSON_CFL / stencil_radius_bound(g, p, d)
+    """Largest step that is stable on the whole N x N grid, 2.5/R with R the
+    stencil bound at K = N - 1 (max |x - y| = 2L): dt*|lambda| <= 2.5 for
+    every eigenvalue lambda of the explicitly stepped part, inside the radius
+    2.61 to which RK4's stability region fills the left half-plane (2.83 on
+    the imaginary axis, 2.79 on the negative real one).  evolve() steps a
+    narrower band and takes the larger step of plan_steps()."""
+    return _LAWSON_CFL / _radius_bound(g.dx, g.N - 1, p, d)
 
 
 def suggested_half_width(q2_max: float, p: SystemParams, d: DiffusionConstants,
@@ -166,23 +186,108 @@ def suggested_half_width(q2_max: float, p: SystemParams, d: DiffusionConstants,
     return max(L_min, min(L_bal, 1.5 * L_min))
 
 
-class _MasterOperator:
-    """The six-term master equation split for Lawson RK4, tuned for repeated
-    calls: ``rhs`` evaluates the stencil terms (kinetic, friction + anomalous,
-    position diffusion), and the pointwise potential + decoherence factor P
-    enters each step only through E = exp(P dt/2).
+class _Band:
+    """Upper-band storage of a hermitian N x N density matrix:
+    D[i, m] = rho(x_i, x_{i+m}) for 0 <= m <= K, with zeros wherever i + m
+    leaves the grid.  The lower half is the mirror image
+    rho(x_{i+m}, x_i) = conj D[i, m], so it is not stored.
 
-    One zero-bordered scratch buffer per field serves all stencil directions
-    (the border is the clamped boundary condition), and every array operation
-    writes into a preallocated work buffer: at N=256 the evolution is memory
-    bound, so allocation-free passes are what the 2-minute budget buys.
+    x - y = -m dx depends on the column alone and the trace is column 0.
+    K = N - 1 holds the whole grid in N^2 cells, as many as the N x N array.
     """
 
-    def __init__(self, x: np.ndarray, p: SystemParams, d: DiffusionConstants):
-        n = len(x)
+    def __init__(self, n: int, K: int):
+        self.n, self.K, self.w = n, K, K + 1
+        self._i = np.arange(n)[:, None]
+        self._m = np.arange(K + 1)
+        j = self._i + self._m
+        self._inside = j < n
+        self._j = np.minimum(j, n - 1)
+        self._outside = np.flatnonzero(~self._inside)
+        rows, cols = np.nonzero(self._inside)
+        self._cells = rows * self.w + cols
+        # rho(x_i, x_{i+m}) and its mirror rho(x_{i+m}, x_i) in the N x N array
+        self._upper = rows * n + rows + cols
+        self._lower = (rows + cols) * n + rows
+
+    def from_full(self, values: np.ndarray) -> np.ndarray:
+        """The band of the hermitian part (rho + rho^dagger)/2, which is rho
+        itself, bit for bit, when rho is hermitian."""
+        band = np.zeros((self.n, self.w), dtype=complex)
+        flat = values.ravel()
+        band.ravel()[self._cells] = 0.5 * (flat[self._upper] + flat[self._lower].conj())
+        return band
+
+    def to_full(self, band: np.ndarray) -> np.ndarray:
+        values = np.zeros((self.n, self.n), dtype=complex)
+        flat = band.ravel()[self._cells]
+        values.ravel()[self._lower] = flat.conj()
+        values.ravel()[self._upper] = flat
+        return values
+
+    def sample(self, band: np.ndarray, x: np.ndarray, t: float, hbar: float) -> dict:
+        """Grid moments, trace and hermiticity residual read off the band.
+        The mirror is exact off the diagonal, so rho - rho^dagger is
+        2i Im rho(x, x) there alone."""
+        m = self.moments(band, x, t, hbar)
         dx = float(x[1] - x[0])
-        self.x = x
-        self.xmy = x[:, None] - x[None, :]
+        trace = float(np.real(band[:, 0]).sum() * dx)
+        peak = float(np.abs(band).max())
+        herm = 2.0 * float(np.abs(band[:, 0].imag).max()) / peak if peak > 0.0 else 0.0
+        return {"t": t, "q2": m.q2, "p2": m.p2, "qp": m.qp, "trace": trace, "herm": herm}
+
+    def moments(self, band: np.ndarray, x: np.ndarray, t: float, hbar: float) -> MomentState:
+        """<q^2> from the diagonal; <p^2>, <qp+pq> from 4th-order stencils in
+        the anti-diagonal direction u = x - y at y = x (m <= 4)."""
+        if not np.all(np.isfinite(band)):
+            raise StateError("grid contains non-finite values")
+        n = self.n
+        dx = float(x[1] - x[0])
+        f0 = band[:, 0]
+        q2 = float((x * x * np.real(f0)).sum() * dx)
+
+        def antidiag(k: int) -> np.ndarray:
+            # f_-k(i) = rho(x_{i-k}, x_{i+k}) = D[i - k, 2k]; 0 off the grid
+            v = np.zeros(n, dtype=complex)
+            if 2 * k < self.w:
+                v[k:] = band[:n - k, 2 * k]
+            return v
+
+        fm1, fm2 = antidiag(1), antidiag(2)
+        fp1, fp2 = fm1.conj(), fm2.conj()   # f_k = conj f_-k
+        du = 2.0 * dx
+        dfdu = (fm2 - fp2 + 8.0 * (fp1 - fm1)) / (12.0 * du)
+        d2fdu2 = (16.0 * (fp1 + fm1) - (fp2 + fm2) - 30.0 * f0) / (12.0 * du * du)
+
+        p2 = float((-hbar * hbar) * np.real(d2fdu2.sum()) * dx)
+        qp = float(np.real(-2j * hbar * (x * dfdu).sum() * dx))
+        return MomentState(q2, p2, qp, t=t)
+
+
+class _BandOperator(_Band):
+    """The six-term master equation on the band, split for Lawson RK4 and
+    tuned for repeated calls: ``rhs`` evaluates the stencil terms (kinetic,
+    friction + anomalous, position diffusion), and the pointwise potential +
+    decoherence factor P enters each step only through E = exp(P dt/2).
+
+    An x-neighbour rho(x_{i+a}, y) is D[i + a, m - a] and a y-neighbour is
+    D[i, m + b], so every stencil read is one slice of a zero-bordered
+    buffer whose columns m = -1, -2 are refilled with the mirror image
+    conj D[i + m, -m] before each pass.  The border is the clamped boundary
+    both of the box and of the band, and inside the band the discrete
+    operator is the full grid's: every term maps a hermitian rho to a
+    hermitian one, so the lower half it would compute is the mirror of the
+    upper.  The cells off the grid are zeroed on every output, so they read
+    as the box's zero border.  Every array operation writes into a
+    preallocated work buffer: at N = 256 the evolution is memory bound.
+    """
+
+    def __init__(self, x: np.ndarray, p: SystemParams, d: DiffusionConstants, K: int):
+        n = len(x)
+        super().__init__(n, K)
+        dx = float(x[1] - x[0])
+        self.xmy = -self._m * dx
+        self.xpy = x[:, None] + x[self._j]
         # P = -i c_pot (x^2 - y^2) - c_dec (x - y)^2
         self.c_pot = p.M * p.omega0 ** 2 / (2.0 * p.hbar)
         self.c_dec = d.Dpp / p.hbar ** 2
@@ -194,10 +299,26 @@ class _MasterOperator:
         self.ca = 2j * d.Dpq / p.hbar - p.gamma
         self.cb = 2j * d.Dpq / p.hbar + p.gamma
         self.c1 = c1
-        self.cDqq = d.Dqq * c1
-        shape = (n, n)
-        self._fp = np.zeros((n + 4, n + 4), dtype=complex)
-        self._gp = np.zeros((n + 4, n + 4), dtype=complex)
+        # both first derivatives of the composed Dqq stencil carry 1/(12 dx)
+        self.cDqq = d.Dqq * c1 * c1
+
+        i, j, inside = self._i, self._j, self._inside
+        # the outermost ring of the box is clamped to zero after each step;
+        # leakage shows one ring in, and at the band edge one column in
+        def ring(k: int) -> np.ndarray:
+            return np.flatnonzero(inside & ((i == k) | (i == n - 1 - k) | (j == k)
+                                            | (j == n - 1 - k)))
+
+        self._ring, self._ring_in = ring(0), ring(1)
+        self._band_edge = np.flatnonzero(inside & (self._m == K - 1))
+
+        shape = (n, self.w)
+        self._fp = np.zeros((n + 4, self.w + 4), dtype=complex)
+        self._gp = np.zeros((n + 4, self.w + 4), dtype=complex)
+        self._fx, self._fy = self._shifts(self._fp)
+        self._gx, self._gy = self._shifts(self._gp)
+        row, col = np.divmod(self._outside, self.w)
+        self._outside_padded = (row + 2) * (self.w + 4) + col + 2
         self._b1 = np.empty(shape, dtype=complex)
         self._b2 = np.empty(shape, dtype=complex)
         self._t1 = np.empty(shape, dtype=complex)
@@ -208,17 +329,30 @@ class _MasterOperator:
         self._factor = np.empty(shape, dtype=complex)
         self._factor_dt: Optional[float] = None
 
+    def _shifts(self, buf: np.ndarray) -> tuple[list, list]:
+        """Views of a padded buffer at offsets -2..2: x-neighbours D[i+a, m-a]
+        and y-neighbours D[i, m+b], indexed by offset + 2."""
+        n, w = self.n, self.w
+        xs = [buf[2 + a:n + 2 + a, 2 - a:w + 2 - a] for a in range(-2, 3)]
+        ys = [buf[2:n + 2, 2 + b:w + 2 + b] for b in range(-2, 3)]
+        return xs, ys
+
+    def _mirror(self, buf: np.ndarray) -> None:
+        """Columns m = -1, -2 of a padded buffer: rho(x_i, x_{i-c}) =
+        conj D[i - c, c], left at 0 where i - c leaves the grid."""
+        n = self.n
+        for c in (1, 2):
+            np.conjugate(buf[2:n + 2 - c, 2 + c], out=buf[2 + c:n + 2, 2 - c])
+
     def factor(self, dt: float) -> np.ndarray:
         """E = exp(P dt/2), rebuilt in place only when dt changes.  P is
         exactly 0 on the diagonal, so E is exactly 1 there."""
         if dt != self._factor_dt:
             E = self._factor
             h = 0.5 * dt
-            np.multiply(self.xmy, self.xmy, out=E.real)
-            E.real *= -h * self.c_dec
+            E.real[...] = self.xmy * self.xmy * (-h * self.c_dec)
             # x^2 - y^2 = (x + y)(x - y)
-            np.add(self.x[:, None], self.x[None, :], out=E.imag)
-            E.imag *= self.xmy
+            np.multiply(self.xpy, self.xmy, out=E.imag)
             E.imag *= -h * self.c_pot
             np.exp(E, out=E)
             self._factor_dt = dt
@@ -226,41 +360,40 @@ class _MasterOperator:
 
     @staticmethod
     def _d1_pair(cx, cy, out, tmp, tmp2):
-        """out = unscaled 4th-order (d/dx + d/dy) read from padded views."""
-        np.subtract(cx[0:-4], cx[4:], out=out)
-        np.subtract(cy[:, 0:-4], cy[:, 4:], out=tmp)
+        """out = unscaled 4th-order (d/dx + d/dy) from the offset views."""
+        np.subtract(cx[0], cx[4], out=out)
+        np.subtract(cy[0], cy[4], out=tmp)
         out += tmp
-        np.subtract(cx[3:-1], cx[1:-3], out=tmp)
-        np.subtract(cy[:, 3:-1], cy[:, 1:-3], out=tmp2)
+        np.subtract(cx[3], cx[1], out=tmp)
+        np.subtract(cy[3], cy[1], out=tmp2)
         tmp += tmp2
         tmp *= 8.0
         out += tmp
 
     def rhs(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        fp, gp = self._fp, self._gp
         b1, b2, t1, t2 = self._b1, self._b2, self._t1, self._t2
-        fp[2:-2, 2:-2] = rho
-        cx = fp[:, 2:-2]   # columns interior: x-direction neighbours
-        cy = fp[2:-2, :]   # rows interior: y-direction neighbours
+        cx, cy = self._fx, self._fy
+        cy[2][...] = rho
+        self._mirror(self._fp)
 
         # first derivatives (unscaled by c1 until used)
-        np.subtract(cx[0:-4], cx[4:], out=b1)
-        np.subtract(cx[3:-1], cx[1:-3], out=t1)
+        np.subtract(cx[0], cx[4], out=b1)
+        np.subtract(cx[3], cx[1], out=t1)
         t1 *= 8.0
         b1 += t1
-        np.subtract(cy[:, 0:-4], cy[:, 4:], out=b2)
-        np.subtract(cy[:, 3:-1], cy[:, 1:-3], out=t1)
+        np.subtract(cy[0], cy[4], out=b2)
+        np.subtract(cy[3], cy[1], out=t1)
         t1 *= 8.0
         b2 += t1
 
         # kinetic: (d2x - d2y); the -30*f/12dx^2 terms cancel between the axes
-        np.add(cx[1:-3], cx[3:-1], out=out)
-        np.add(cy[:, 1:-3], cy[:, 3:-1], out=t1)
+        np.add(cx[1], cx[3], out=out)
+        np.add(cy[1], cy[3], out=t1)
         out -= t1
         out *= 16.0
-        np.add(cx[0:-4], cx[4:], out=t1)
+        np.add(cx[0], cx[4], out=t1)
         out -= t1
-        np.add(cy[:, 0:-4], cy[:, 4:], out=t1)
+        np.add(cy[0], cy[4], out=t1)
         out += t1
         out *= self.c_kin
 
@@ -274,17 +407,20 @@ class _MasterOperator:
         if self.cDqq != 0.0:
             # position diffusion (d/dx + d/dy)^2 via composition of the
             # antisymmetric first-derivative stencil: conserves the discrete
-            # trace exactly
-            b1 += b2
-            b1 *= self.c1
-            gp[2:-2, 2:-2] = b1
-            self._d1_pair(gp[:, 2:-2], gp[2:-2, :], t1, t2, b2)
+            # trace exactly.  The inner derivative is zero off the grid, as
+            # in the box's border, and hermitian like rho.
+            np.add(b1, b2, out=self._gy[2])
+            self._gp.ravel()[self._outside_padded] = 0.0
+            self._mirror(self._gp)
+            self._d1_pair(self._gx, self._gy, t1, t2, b2)
             t1 *= self.cDqq
             out += t1
+        out.ravel()[self._outside] = 0.0
         return out
 
     def lawson_inplace(self, rho: np.ndarray, dt: float) -> None:
-        """Advance rho by one Lawson RK4 step, reusing the operator's buffers.
+        """Advance the band rho by one Lawson RK4 step, reusing the
+        operator's buffers.
 
         With N = rhs, h = dt and E = exp(P h/2):
           k1 = N(u), k2 = N(E(u + h/2 k1)), k3 = N(E u + h/2 k2),
@@ -315,51 +451,86 @@ class _MasterOperator:
         rho *= E
         k *= dt / 6.0
         rho += k
-        # Dirichlet clamp: the outermost ring is pinned to zero
-        rho[0] = 0.0
-        rho[-1] = 0.0
-        rho[:, 0] = 0.0
-        rho[:, -1] = 0.0
+        # Dirichlet clamp: the outermost ring of the box is pinned to zero
+        rho.ravel()[self._ring] = 0.0
+
+    def edge_fractions(self, rho: np.ndarray) -> tuple[float, float]:
+        """|rho| one ring inside the box and one column inside the band edge,
+        relative to the peak.  A density matrix peaks on its diagonal
+        (|rho(x, y)|^2 <= rho(x, x) rho(y, y)), so only column 0 is read for
+        it, and the whole check is O(N) per call."""
+        peak = float(np.abs(rho[:, 0]).max())
+        if not peak > 0.0:
+            return 0.0, 0.0
+        flat = rho.ravel()
+        return (float(np.abs(flat[self._ring_in]).max(initial=0.0)) / peak,
+                float(np.abs(flat[self._band_edge]).max(initial=0.0)) / peak)
 
 
-def _check_boundary(values: np.ndarray) -> None:
-    # the outermost ring is clamped to zero, so leakage shows up one ring in
-    peak = float(np.abs(values).max())
-    if peak == 0.0:
-        return
-    edge = max(float(np.abs(values[1]).max()), float(np.abs(values[-2]).max()),
-               float(np.abs(values[:, 1]).max()), float(np.abs(values[:, -2]).max()))
+def _warn_edge(edge: float, peak: float, message: str) -> None:
     if edge > _EDGE_FRACTION * peak:
-        warnings.warn(
-            f"boundary |rho| reached {edge / peak:.1e} of the peak; "
-            "the state no longer fits the box", BoundaryMassWarning)
+        warnings.warn(message.format(edge / peak), BoundaryMassWarning)
 
 
-def _check_dt(g: DensityGrid, p: SystemParams, d: DiffusionConstants, dt: float) -> None:
-    limit = stable_dt(g, p, d)
-    if dt > limit * (1.0 + 1e-12):
+def _band_width(g: DensityGrid, p: SystemParams, d: DiffusionConstants, t_end: float) -> int:
+    """K for evolving g to t_end: the smallest K >= 5 with
+    exp(-p2c_min (K dx)^2 / 2 hbar^2) < 1e-12, capped at N - 1.
+
+    A Gaussian's |rho| at fixed x - y peaks at that factor of the overall
+    peak, with p2c = <p^2> - (<qp+pq>/2)^2/<q^2>; p2c_min is its least value
+    along the analytic moment trajectory from the grid's own moments.  The
+    moment ODE's rates are at most 4 max(gamma, omega0), so 16 samples per
+    1/max(gamma, omega0) give at least 4 per e-fold or radian; the count is
+    capped at the step count of the full grid's bound, so sampling never
+    outgrows the run, and taken in chunks of 4096 times.  K >= 5 keeps the
+    band edge out of reach of the update at m = 0, which reads m <= 4 (the
+    composed Dqq stencil), so the trace stays conserved as on the full grid.
+    """
+    n = g.N
+    m0 = moments_from_grid(g, hbar=p.hbar)
+    count = 2 + max(0, min(math.ceil(16.0 * t_end * max(p.gamma, p.omega0)),
+                           math.ceil(t_end / stable_dt(g, p, d))))
+    lows = []
+    for start in range(0, count, _SAMPLE_CHUNK):
+        ts = np.arange(start, min(count, start + _SAMPLE_CHUNK)) * (t_end / (count - 1))
+        a = analytic_solution(m0, p, d, ts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lows.append(np.min(a.p2 - (a.qp / 2.0) ** 2 / a.q2))
+    p2c = float(np.min(lows))
+    if not p2c > 0.0:
+        return n - 1
+    width = p.hbar * math.sqrt(2.0 * math.log(1.0 / _BAND_EDGE) / p2c)
+    if not width < (n - 1) * g.dx:
+        return n - 1
+    return min(max(_MIN_BAND, math.floor(width / g.dx) + 1), n - 1)
+
+
+class StepPlan(NamedTuple):
+    """What evolve() takes to t_end: steps of dt on the band |x - y| <= K dx."""
+
+    steps: int
+    dt: float
+    K: int
+
+
+def plan_steps(g: DensityGrid, p: SystemParams, d: DiffusionConstants, t_end: float,
+               dt: Optional[float] = None) -> StepPlan:
+    """The band K of _band_width, and (steps, dt) to t_end: dt defaults to
+    the band's stability bound 2.5/R and is adjusted down so the steps land
+    exactly on t_end.  A given dt above the bound raises StabilityError."""
+    K = _band_width(g, p, d, t_end)
+    limit = _LAWSON_CFL / _radius_bound(g.dx, K, p, d)
+    if dt is None:
+        dt = limit
+    elif dt > limit * (1.0 + 1e-12):
         raise StabilityError(f"dt={dt:g} exceeds the stability bound {limit:g}")
+    n_steps = max(1, int(math.ceil(t_end / dt * (1.0 - 1e-12))))
+    return StepPlan(n_steps, t_end / n_steps, K)
 
 
 def step(g: DensityGrid, p: SystemParams, d: DiffusionConstants, dt: float) -> DensityGrid:
     """One Lawson RK4 step of the master equation; returns a new grid at t + dt."""
-    _check_dt(g, p, d, dt)
-    values = g.values.copy()
-    _MasterOperator(g.x, p, d).lawson_inplace(values, dt)
-    _check_boundary(values)
-    return DensityGrid(g.x, values, g.t + dt)
-
-
-def plan_steps(g: DensityGrid, p: SystemParams, d: DiffusionConstants, t_end: float,
-               dt: Optional[float] = None) -> tuple[int, float]:
-    """(steps, dt) that evolve() takes to t_end: dt defaults to the stability
-    bound and is adjusted down so the steps land exactly on t_end."""
-    if dt is None:
-        dt = stable_dt(g, p, d)
-    else:
-        _check_dt(g, p, d, dt)
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    return n_steps, t_end / n_steps
+    return evolve(g, p, d, dt, dt)[0]
 
 
 def evolve(
@@ -372,59 +543,47 @@ def evolve(
 ) -> tuple[DensityGrid, list[dict]]:
     """Step to t_end, recording grid moments / trace / hermiticity samples.
 
-    The step plan is plan_steps(g, p, d, t_end, dt).  Returns the final grid
-    and a list of sample dicts with keys t, q2, p2, qp, trace, herm.
+    The step plan is plan_steps(g, p, d, t_end, dt): the hermitian part of
+    g is stepped on the upper band 0 <= y - x <= K dx and expanded back to
+    N x N at the end, so the first sample's hermiticity residual is g's own.
+    Warns BoundaryMassWarning if the initial grid holds more than 1e-10 of
+    its peak beyond the band, or if after any step the box or band edge
+    does.  Returns the final grid and a list of sample dicts with keys t,
+    q2, p2, qp, trace, herm; the last one is stamped g.t + t_end.
     """
-    n_steps, dt = plan_steps(g, p, d, t_end, dt)
+    n_steps, dt, K = plan_steps(g, p, d, t_end, dt)
+    mag = np.abs(g.values)
+    _warn_edge(max(np.triu(mag, K + 1).max(), np.tril(mag, -K - 1).max()), mag.max(),
+               f"|rho| beyond the band |x - y| <= {K} dx reached {{:.1e}} of the peak")
 
-    op = _MasterOperator(g.x, p, d)
-    values = g.values.copy()
-    samples = [_sample(g.x, values, g.t, p.hbar)]
+    op = _BandOperator(g.x, p, d, K)
+    rho = op.from_full(g.values)
+    samples = [dict(op.sample(rho, g.x, g.t, p.hbar), herm=g.hermiticity_residual())]
+    box_edge = band_edge = 0.0
     for k in range(n_steps):
-        op.lawson_inplace(values, dt)
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            samples.append(_sample(g.x, values, g.t + (k + 1) * dt, p.hbar))
-    _check_boundary(values)
-    return DensityGrid(g.x, values, g.t + t_end), samples
-
-
-def _sample(x, values, t, hbar):
-    g = DensityGrid(x, values, t)
-    m = moments_from_grid(g, hbar=hbar)
-    return {"t": t, "q2": m.q2, "p2": m.p2, "qp": m.qp,
-            "trace": g.trace(), "herm": g.hermiticity_residual()}
+        op.lawson_inplace(rho, dt)
+        box, band = op.edge_fractions(rho)
+        box_edge, band_edge = max(box_edge, box), max(band_edge, band)
+        if k == n_steps - 1:
+            samples.append(op.sample(rho, g.x, g.t + t_end, p.hbar))
+        elif (k + 1) % sample_every == 0:
+            samples.append(op.sample(rho, g.x, g.t + (k + 1) * dt, p.hbar))
+    _warn_edge(box_edge, 1.0, "boundary |rho| reached {:.1e} of the peak; "
+                              "the state no longer fits the box")
+    _warn_edge(band_edge, 1.0, f"|rho| at |x - y| = {K - 1} dx reached {{:.1e}} of the peak; "
+                               f"the coherence no longer fits the band K = {K}")
+    return DensityGrid(g.x, op.to_full(rho), g.t + t_end), samples
 
 
 def moments_from_grid(g: DensityGrid, hbar: float = 1.0) -> MomentState:
     """<q^2> from the diagonal; <p^2>, <qp+pq> from 4th-order stencils in the
-    anti-diagonal direction u = x - y at y = x."""
-    n = g.N
-    dx = g.dx
-    rho = g.values
-    if not np.all(np.isfinite(rho)):
+    anti-diagonal direction u = x - y at y = x.  Each is the real part of a
+    trace, which rho's anti-hermitian part does not reach, so they are read
+    off the band of its hermitian part."""
+    if not np.all(np.isfinite(g.values)):
         raise StateError("grid contains non-finite values")
-
-    diag = np.real(np.diagonal(rho))
-    q2 = float((g.x * g.x * diag).sum() * dx)
-
-    idx = np.arange(n)
-
-    def antidiag(k: int) -> np.ndarray:
-        # f_k(i) = rho(x_{i+k}, x_{i-k}); outside the grid rho is clamped to 0
-        v = np.zeros(n, dtype=complex)
-        ok = (idx + k >= 0) & (idx + k < n) & (idx - k >= 0) & (idx - k < n)
-        v[ok] = rho[idx[ok] + k, idx[ok] - k]
-        return v
-
-    f0 = np.diagonal(rho)
-    fp1, fm1, fp2, fm2 = antidiag(1), antidiag(-1), antidiag(2), antidiag(-2)
-    du = 2.0 * dx
-    dfdu = (fm2 - fp2 + 8.0 * (fp1 - fm1)) / (12.0 * du)
-    d2fdu2 = (16.0 * (fp1 + fm1) - (fp2 + fm2) - 30.0 * f0) / (12.0 * du * du)
-
-    p2 = float((-hbar * hbar) * np.real(d2fdu2.sum()) * dx)
-    qp = float(np.real(-2j * hbar * (g.x * dfdu).sum() * dx))
-    return MomentState(q2, p2, qp, t=g.t)
+    band = _Band(g.N, 4)
+    return band.moments(band.from_full(g.values), g.x, g.t, hbar)
 
 
 def gaussian_error(g: DensityGrid, s0: MomentState, p: SystemParams,

@@ -26,16 +26,26 @@ PINNED_ALPHA_PRIME = 0.07773026138469102
 PINNED_TC_RATIO_1 = 0.47604425738485145  # kB*Tc/(hbar*gamma) at omega0/gamma = 1
 
 
+def _expect(ok, what: str) -> None:
+    # an explicit raise, not ``assert``, so the checks survive ``python -O``
+    if not ok:
+        raise AssertionError(what)
+
+
 def _check_alpha():
     ab = alpha_pair(SystemParams(omega0=2.0, T=1.0))
-    assert abs(ab.alpha - PINNED_ALPHA) < 1e-12
-    assert abs(ab.alpha_prime - PINNED_ALPHA_PRIME) < 1e-12
-    assert ab.residual_imag < 1e-10
+    _expect(abs(ab.alpha - PINNED_ALPHA) < 1e-12, f"alpha = {ab.alpha!r}, pinned {PINNED_ALPHA!r}")
+    _expect(abs(ab.alpha_prime - PINNED_ALPHA_PRIME) < 1e-12,
+            f"alpha' = {ab.alpha_prime!r}, pinned {PINNED_ALPHA_PRIME!r}")
+    _expect(ab.residual_imag < 1e-10, f"residual_imag = {ab.residual_imag:.3e}")
 
 
 def _check_breakdown():
-    assert abs(breakdown_temperature(1e-3) - 0.4) < 0.05
-    assert abs(breakdown_temperature(1.0) - PINNED_TC_RATIO_1) < 1e-6
+    tc = breakdown_temperature(1e-3)
+    _expect(abs(tc - 0.4) < 0.05, f"T_c at omega0/gamma = 1e-3 is {tc!r}, not ~0.4")
+    tc = breakdown_temperature(1.0)
+    _expect(abs(tc - PINNED_TC_RATIO_1) < 1e-6,
+            f"T_c at omega0/gamma = 1 is {tc!r}, pinned {PINNED_TC_RATIO_1!r}")
 
 
 def _check_moments():
@@ -48,18 +58,20 @@ def _check_moments():
         dt = 0.002 / max(p.gamma, p.omega0)
         traj = evolve_numeric(s0, p, d, 4.0, dt, stride=100)
         a = analytic_solution(s0, p, d, traj.t)
-        for got, want in ((traj.q2, a.q2), (traj.p2, a.p2), (traj.qp, a.qp)):
-            assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(np.abs(want), scale))
+        for name, got, want in (("q2", traj.q2, a.q2), ("p2", traj.p2, a.p2),
+                                ("qp", traj.qp, a.qp)):
+            _expect(np.all(np.abs(got - want) <= 1e-6 * np.maximum(np.abs(want), scale)),
+                    f"gamma/omega0 = {go:g}: numeric {name} leaves analytic by > 1e-6")
 
 
 def _check_matsubara():
     p = SystemParams(omega0=1.0, T=100.0, gamma=0.01)
-    assert abs(matsubara_q2(p) / 100.0 - 1.0) < 0.01
-    assert abs(matsubara_p2(p) / 100.0 - 1.0) < 0.01
+    for name, got in (("q2", matsubara_q2(p)), ("p2", matsubara_p2(p))):
+        _expect(abs(got / 100.0 - 1.0) < 0.01, f"high-T {name} = {got!r}, not ~kB T = 100")
     p = SystemParams(omega0=1.0, T=0.7, gamma=1e-6)
     iso = 0.5 / math.tanh(0.5 / 0.7)
-    assert abs(matsubara_q2(p) / iso - 1.0) < 1e-4
-    assert abs(matsubara_p2(p) / iso - 1.0) < 1e-3
+    for name, got, tol in (("q2", matsubara_q2(p), 1e-4), ("p2", matsubara_p2(p), 1e-3)):
+        _expect(abs(got / iso - 1.0) < tol, f"weak-coupling {name} = {got!r}, isolated {iso!r}")
 
 
 CHECKS = [

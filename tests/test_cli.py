@@ -4,7 +4,11 @@ import csv
 import io
 import logging
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -267,7 +271,7 @@ class TestGridValidateCmd:
             assert float(r[8]) < 1e-9
         assert "grid-validate: worst moment gap" in err
         # the step plan is reported on stderr, not in the CSV
-        assert "steps=" in err and " dt=" in err
+        assert "steps=" in err and " dt=" in err and " K=" in err
         assert "steps" not in out
         assert snap.exists()
         first = snap.read_text().splitlines()[0]
@@ -288,6 +292,9 @@ class TestGridValidateCmd:
         (["--sample-every", "0"], "--sample-every"),
         (["--t-end", "-1"], "--t-end"),
         (["--t-end", "inf"], "--t-end"),
+        (["--L", "-1"], "--L"),                  # not silently the automatic box
+        (["--L", "nan"], "--L"),
+        (["--L", "inf"], "--L"),
     ])
     def test_invalid_option_is_configuration_error(self, flags, what, capsys, tmp_path):
         out = tmp_path / "grid.csv"
@@ -364,3 +371,17 @@ class TestSelftestCmd:
         assert code == 2
         assert "FAIL pinned alpha, alpha'" in out
         assert "selftest: 1/4 checks failed" in out
+
+    def test_checks_survive_optimize_flag(self):
+        # python -O strips assert statements; a wrong pinned constant must
+        # still fail the run
+        code = ("import sys; from qbrown import selftest; "
+                "selftest.PINNED_ALPHA = 0.5; sys.exit(selftest.run_selftest())")
+        # the subprocess imports the same qbrown the tests do
+        root = str(Path(selftest.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "FAIL pinned alpha, alpha'" in proc.stdout

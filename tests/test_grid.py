@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,17 +10,18 @@ import pytest
 from qbrown.core import StabilityError, StateError, SystemParams
 from qbrown.diffusion import DiffusionConstants, diffusion_constants
 from qbrown.dynamics import MomentState, analytic_solution, equilibrium_moments, evolve_numeric
+from qbrown import grid
 from qbrown.grid import (
     BoundaryMassWarning,
     DensityGrid,
-    _MasterOperator,
+    _BandOperator,
+    _radius_bound,
     evolve,
     gaussian_error,
     gaussian_state,
     moments_from_grid,
     plan_steps,
     stable_dt,
-    stencil_radius_bound,
     step,
     suggested_half_width,
 )
@@ -91,6 +93,14 @@ class TestStep:
         assert g2.t == pytest.approx(dt)
         assert g2 is not g and g2.values is not g.values
 
+    def test_last_sample_is_stamped_t_end(self):
+        # 11 steps of 0.1/11 add up to 0.10000000000000002
+        g = gaussian_state(displaced(), N=64)
+        assert 11 * (0.1 / 11) != 0.1
+        final, samples = evolve(g, P, D, 0.1, dt=0.1 / 11, sample_every=5)
+        assert [s["t"] for s in samples][-1] == final.t == 0.1
+        assert len(samples) == 4
+
     def test_unitary_oscillator_limit(self):
         # no diffusion, negligible friction: <q^2> oscillates at 2*omega0 and
         # the uncertainty product stays put
@@ -146,6 +156,36 @@ class TestStep:
         with pytest.warns(BoundaryMassWarning):
             evolve(tiny, p, d, 0.8)
 
+    def test_transient_edge_mass_warns(self):
+        # on a coarse grid the first steps push 3e-10 of the peak one ring
+        # inside the box; by t = 3 it is back to 2e-11, so only a check
+        # after every step sees it
+        m = displaced()
+        g = gaussian_state(m, N=32, L=7.13)
+        with pytest.warns(BoundaryMassWarning, match="no longer fits the box"):
+            evolve(g, P, D, 3.0, sample_every=10 ** 6)
+
+    def test_too_narrow_band_warns(self, monkeypatch):
+        # a hot state relaxing in a cold bath: its coherence length grows, so
+        # a band sized for the initial state alone leaks through its edge
+        p = SystemParams(omega0=2.0, T=0.5)
+        d = diffusion_constants(p)
+        eq = equilibrium_moments(p, d)
+        m = MomentState(eq.q2, 4.0 * eq.p2, eq.qp)
+        g = gaussian_state(m, N=96, L=8.0 * math.sqrt(3.0 * eq.q2), hbar=p.hbar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryMassWarning)
+            evolve(g, p, d, 1.5)
+        planned = grid._band_width
+        monkeypatch.setattr(grid, "_band_width",
+                            lambda g, p, d, t_end: planned(g, p, d, 0.0))
+        with pytest.warns(BoundaryMassWarning, match="no longer fits the band"):
+            evolve(g, p, d, 1.5)
+        # a band narrower than the initial state warns before the first step
+        monkeypatch.setattr(grid, "_band_width", lambda g, p, d, t_end: 6)
+        with pytest.warns(BoundaryMassWarning, match="beyond the band"):
+            evolve(g, p, d, 0.01)
+
 
 def pointwise_factor(x, p, d):
     """P(x, y) = -i (M omega0^2/2 hbar)(x^2 - y^2) - (Dpp/hbar^2)(x - y)^2."""
@@ -155,10 +195,14 @@ def pointwise_factor(x, p, d):
 
 
 def explicit_rk4(g, p, d, t_end):
-    """Classical RK4 on the whole right-hand side (stencil terms + P rho) at
-    the explicit step 0.25*min(M dx^2/hbar, 1/gamma, hbar^2/(Dpp L^2))."""
-    op = _MasterOperator(g.x, p, d)
-    P = pointwise_factor(g.x, p, d)
+    """Classical RK4 on the whole right-hand side (stencil terms + P rho) of
+    the full grid (the band at K = N - 1) at the explicit step
+    0.25*min(M dx^2/hbar, 1/gamma, hbar^2/(Dpp L^2))."""
+    op = _BandOperator(g.x, p, d, g.N - 1)
+    P = op.from_full(pointwise_factor(g.x, p, d))
+    box = np.ones((g.N, g.N))
+    box[1:-1, 1:-1] = 0.0
+    ring = op.from_full(box) != 0.0
 
     def f(u):
         out = np.empty_like(u)
@@ -169,23 +213,49 @@ def explicit_rk4(g, p, d, t_end):
                     p.hbar ** 2 / (d.Dpp * g.L ** 2))
     n = math.ceil(t_end / dt)
     dt = t_end / n
-    u = g.values.copy()
+    u = op.from_full(g.values)
     for _ in range(n):
         k1 = f(u)
         k2 = f(u + 0.5 * dt * k1)
         k3 = f(u + 0.5 * dt * k2)
         k4 = f(u + dt * k3)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u[0] = u[-1] = 0.0
-        u[:, 0] = u[:, -1] = 0.0
-    return DensityGrid(g.x, u, g.t + t_end), n
+        u[ring] = 0.0
+    return DensityGrid(g.x, op.to_full(u), g.t + t_end), n
 
 
-def spectral_radius(op, n, iters=400, tail=100):
-    """Growth rate (|A^tail v| / |v|)^(1/tail) of the stencil operator A =
-    op.rhs after iters - tail warm-up iterations from a fixed random start."""
+def reference_rhs(u, x, p, d):
+    """The stencil terms on the full N x N grid, written out term by term
+    from zero-padded shifts: kinetic, friction + anomalous, and position
+    diffusion as the first-derivative stencil composed with itself."""
+    n, dx = len(x), x[1] - x[0]
+
+    def d1(f):
+        fp = np.pad(f, 2)
+        sx = [fp[2 + a:n + 2 + a, 2:n + 2] for a in range(-2, 3)]
+        sy = [fp[2:n + 2, 2 + b:n + 2 + b] for b in range(-2, 3)]
+        dx1 = (sx[0] - 8.0 * sx[1] + 8.0 * sx[3] - sx[4]) / (12.0 * dx)
+        dy1 = (sy[0] - 8.0 * sy[1] + 8.0 * sy[3] - sy[4]) / (12.0 * dx)
+        d2x = (-sx[0] + 16.0 * sx[1] - 30.0 * f + 16.0 * sx[3] - sx[4]) / (12.0 * dx * dx)
+        d2y = (-sy[0] + 16.0 * sy[1] - 30.0 * f + 16.0 * sy[3] - sy[4]) / (12.0 * dx * dx)
+        return dx1, dy1, d2x, d2y
+
+    dx1, dy1, d2x, d2y = d1(u)
+    xmy = x[:, None] - x[None, :]
+    ca = 2j * d.Dpq / p.hbar - p.gamma
+    cb = 2j * d.Dpq / p.hbar + p.gamma
+    out = (1j * p.hbar / (2.0 * p.M)) * (d2x - d2y) + xmy * (ca * dx1 + cb * dy1)
+    ddx, ddy, _, _ = d1(dx1 + dy1)
+    return out + d.Dqq * (ddx + ddy)
+
+
+def spectral_radius(op, iters=400, tail=100):
+    """Growth rate (|A^tail v| / |v|)^(1/tail) of the band stencil operator
+    A = op.rhs after iters - tail warm-up iterations from a fixed random
+    hermitian start (a real diagonal)."""
     rng = np.random.default_rng(7)
-    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = rng.standard_normal((op.n, op.w)) + 1j * rng.standard_normal((op.n, op.w))
+    v[:, 0] = v[:, 0].real
     w = np.empty_like(v)
     log_growth = 0.0
     for i in range(iters):
@@ -210,11 +280,38 @@ class TestLawsonStep:
         eq = equilibrium_moments(p, d)
         g = gaussian_state(eq, N=N, L=suggested_half_width(1.4 * eq.q2, p, d, N=N),
                            hbar=p.hbar)
-        R = stencil_radius_bound(g, p, d)
-        rho = spectral_radius(_MasterOperator(g.x, p, d), N)
+        # the equilibrium is stationary, so any horizon plans the same band
+        n_steps, dt, K = plan_steps(g, p, d, 1.0)
+        R = _radius_bound(g.dx, K, p, d)
+        rho = spectral_radius(_BandOperator(g.x, p, d, K))
         assert rho <= R
         assert rho >= 0.4 * R       # the bound is not loose enough to waste steps
-        assert stable_dt(g, p, d) == pytest.approx(2.5 / R, rel=1e-15)
+        assert dt <= 2.5 / R and (n_steps - 1) * 2.5 / R < 1.0
+        assert stable_dt(g, p, d) == pytest.approx(2.5 / _radius_bound(g.dx, N - 1, p, d),
+                                                   rel=1e-15)
+
+    def test_rhs_matches_full_grid_reference(self):
+        # two rhs passes from a rough hermitian start, so any value left in
+        # the cells off the grid, or a wrong mirror column, would be read
+        # back; at the plan's K the band edge reaches 6 columns in after two
+        # passes, so compare inside that
+        g = gaussian_state(displaced(), N=48)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+        u += u.conj().T
+        offset = np.abs(np.subtract.outer(np.arange(48), np.arange(48)))
+        for K in (47, plan_steps(g, P, D, 1.0).K):
+            u_band = np.where(offset <= K, u, 0.0)
+            want = reference_rhs(reference_rhs(u_band, g.x, P, D), g.x, P, D)
+            op = _BandOperator(g.x, P, D, K)
+            once, twice = np.empty((48, op.w), complex), np.empty((48, op.w), complex)
+            op.rhs(op.from_full(u_band), once)
+            got = op.to_full(op.rhs(once, twice))
+            inner = offset <= (K if K == 47 else K - 6)
+            assert K == 47 or inner.sum() > 48 * 20
+            assert np.abs(got - want)[inner].max() <= 1e-12 * np.abs(want).max()
+            # the update maps a hermitian rho to a hermitian one
+            assert np.abs(np.diagonal(got).imag).max() == 0.0
 
     def test_matches_explicit_rk4(self):
         # Lawson RK4 at its own bound against classical RK4 on the whole
@@ -223,7 +320,7 @@ class TestLawsonStep:
         g = gaussian_state(m, N=64, L=8.0 * math.sqrt(1.45 * EQ.q2))
         ref_grid, n_ref = explicit_rk4(g, P, D, 1.0)
         final, samples = evolve(g, P, D, 1.0, sample_every=10 ** 6)
-        n_steps, _ = plan_steps(g, P, D, 1.0)
+        n_steps, _, _ = plan_steps(g, P, D, 1.0)
         assert n_steps * 5 < n_ref
         ref = moments_from_grid(ref_grid)
         got = samples[-1]
@@ -233,18 +330,54 @@ class TestLawsonStep:
 
     def test_factor_is_exact_on_diagonal_and_hermitian(self):
         g = gaussian_state(displaced(), N=64)
-        op = _MasterOperator(g.x, P, D)
+        K = plan_steps(g, P, D, 0.3).K
+        assert K < g.N - 1
+        op = _BandOperator(g.x, P, D, K)
         E = op.factor(0.01)
-        assert np.all(np.diagonal(E) == 1.0)
-        assert np.array_equal(E, E.conj().T)
-        assert np.allclose(E, np.exp(0.005 * pointwise_factor(g.x, P, D)), rtol=1e-14)
+        assert np.all(E[:, 0] == 1.0)
+        # the mirrored lower half matches exp(P dt/2) computed there: E is
+        # hermitian-symmetric, so the upper band determines it
+        offset = np.abs(np.subtract.outer(np.arange(g.N), np.arange(g.N)))
+        exact = np.where(offset <= K, np.exp(0.005 * pointwise_factor(g.x, P, D)), 0.0)
+        assert np.allclose(op.to_full(E), exact, rtol=1e-14, atol=0.0)
 
     def test_plan_lands_on_t_end(self):
         g = gaussian_state(displaced(), N=64)
-        n, dt = plan_steps(g, P, D, 0.3)
+        n, dt, K = plan_steps(g, P, D, 0.3)
+        limit = 2.5 / _radius_bound(g.dx, K, P, D)
         assert n * dt == pytest.approx(0.3, rel=1e-15)
-        assert dt <= stable_dt(g, P, D)
-        assert (n - 1) * stable_dt(g, P, D) < 0.3
+        assert dt <= limit
+        assert (n - 1) * limit < 0.3
+        # the band's step is never below the full grid's
+        assert stable_dt(g, P, D) <= limit
+        # a given dt is kept, and checked against the band's bound
+        assert plan_steps(g, P, D, 0.3, dt) == (n, dt, K)
+        with pytest.raises(StabilityError):
+            plan_steps(g, P, D, 0.3, 1.01 * limit)
+
+    def test_band_matches_full_width(self, monkeypatch):
+        # the criterion-8 system at N = 64 over three damping times: the band
+        # the plan picks against the full grid (K = N - 1), at one dt
+        g = gaussian_state(displaced(), N=64,
+                           L=suggested_half_width(1.05 * displaced().q2, P, D, N=64))
+        dt = stable_dt(g, P, D)
+        assert plan_steps(g, P, D, 3.0).K < g.N - 1
+        band, _ = evolve(g, P, D, 3.0, dt=dt, sample_every=10 ** 6)
+        monkeypatch.setattr(grid, "_band_width", lambda g, p, d, t_end: g.N - 1)
+        assert plan_steps(g, P, D, 3.0).K == g.N - 1
+        full, _ = evolve(g, P, D, 3.0, dt=dt, sample_every=10 ** 6)
+        assert np.abs(band.values - full.values).max() <= 1e-10 * np.abs(full.values).max()
+        # the full-width band stores no more cells than the N x N grid
+        assert _BandOperator(g.x, P, D, g.N - 1)._k.size == g.N ** 2
+
+    def test_band_plan_is_independent_of_sampling_chunks(self, monkeypatch):
+        # an underdamped run over 60 periods samples ~2000 moment times
+        p = SystemParams(omega0=2.0, T=2.0, gamma=0.05)
+        d = diffusion_constants(p)
+        g = gaussian_state(displaced(), N=64, L=8.0 * math.sqrt(3.0 * EQ.q2), hbar=p.hbar)
+        K = plan_steps(g, p, d, 60.0).K
+        monkeypatch.setattr(grid, "_SAMPLE_CHUNK", 7)
+        assert plan_steps(g, p, d, 60.0).K == K
 
 
 class TestGaussianOracle:
