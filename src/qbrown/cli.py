@@ -383,6 +383,8 @@ def _run_tc_curve(cfg: RunConfig) -> int:
         raise ConfigError("--omega0-over-gamma: need lo > 0")
     if not (0 < cfg.hbar < math.inf and 0 < cfg.kB < math.inf):
         raise ConfigError("--hbar and --kB must be finite and positive")
+    if cfg.points < 2:
+        raise ConfigError("--points: tc-curve needs at least two points")
     pts = tc_curve(lo, hi, cfg.points, hbar=cfg.hbar, kB=cfg.kB)
     _emit(cfg, f"hbar={cfg.hbar:g} kB={cfg.kB:g} (dimensionless axes)",
           [(r, tc) for r, tc in pts], xlabel="omega0/gamma")
@@ -453,7 +455,10 @@ def _run_free_particle(cfg: RunConfig) -> int:
     fp = free_particle_longtime(s0, g, T, ts, M=M, hbar=hbar, kB=kB)
     p2_ref = M * hbar * g / math.tanh(hbar * g / (kB * T))
     p2_val = fp.p2[-1]
-    slope = float(np.polyfit(ts, fp.q2, 1)[0])
+    # a fit over times that underflow its scaling fails as FloatingPointError,
+    # before its SVD gives up with a LinAlgError
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        slope = float(np.polyfit(ts, fp.q2, 1)[0])
     slope_ref = kB * T / (M * g)
 
     p_small = SystemParams(omega0=1e-6 * g, T=T, gamma=g, M=M, hbar=hbar, kB=kB)

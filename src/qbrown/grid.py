@@ -21,9 +21,11 @@ state is stored and stepped only on the band |x - y| <= K dx, with K worked
 out from the analytic moment trajectory (plan_steps).  Of the band only the
 upper half 0 <= y - x <= K dx is stored; the lower half is its mirror image
 under rho = rho^dagger.  The band is both less work per step and a larger
-step, since the friction bound grows with max |x - y|; at K = N - 1 it is
-the whole grid in N^2 cells.  The grid is expanded back to N x N only at the
-end.
+step, since the friction bound grows with max |x - y|.  It is held in one
+zero-bordered row-major buffer of N + 4 rows of K + 5 cells, in which each
+stencil neighbour sits at a fixed flat offset, so every stencil read is one
+contiguous run of the buffer; at K = N - 1 the buffer is the full grid's
+zero-padded (N + 4)^2.  The grid is expanded back to N x N only at the end.
 """
 
 from __future__ import annotations
@@ -192,53 +194,66 @@ class _Band:
     leaves the grid.  The lower half is the mirror image
     rho(x_{i+m}, x_i) = conj D[i, m], so it is not stored.
 
+    D lives in a zero-bordered, row-major buffer of N + 4 rows and
+    W = K + 5 columns, D[i, m] at row i + 2 and column m + 2: two rows of
+    the box's zero border above and below, the mirror columns m = -2, -1 on
+    the left and two zero columns beyond the band edge on the right.
     x - y = -m dx depends on the column alone and the trace is column 0.
-    K = N - 1 holds the whole grid in N^2 cells, as many as the N x N array.
+    At K = N - 1 the buffer is the full grid's zero-padded (N + 4)^2.
     """
 
     def __init__(self, n: int, K: int):
-        self.n, self.K, self.w = n, K, K + 1
+        self.n, self.K, self.w = n, K, K + 5
         self._i = np.arange(n)[:, None]
         self._m = np.arange(K + 1)
-        j = self._i + self._m
-        self._inside = j < n
-        self._j = np.minimum(j, n - 1)
-        self._outside = np.flatnonzero(~self._inside)
-        rows, cols = np.nonzero(self._inside)
-        self._cells = rows * self.w + cols
+        rows, cols = np.nonzero(self._i + self._m < n)
+        self._cells = self.index(rows, cols)
         # rho(x_i, x_{i+m}) and its mirror rho(x_{i+m}, x_i) in the N x N array
         self._upper = rows * n + rows + cols
         self._lower = (rows + cols) * n + rows
 
-    def from_full(self, values: np.ndarray) -> np.ndarray:
-        """The band of the hermitian part (rho + rho^dagger)/2, which is rho
-        itself, bit for bit, when rho is hermitian."""
-        band = np.zeros((self.n, self.w), dtype=complex)
-        flat = values.ravel()
-        band.ravel()[self._cells] = 0.5 * (flat[self._upper] + flat[self._lower].conj())
-        return band
+    def index(self, i, m):
+        """Flat index of D[i, m] in the buffer."""
+        return (i + 2) * self.w + m + 2
 
-    def to_full(self, band: np.ndarray) -> np.ndarray:
+    def buffer(self) -> np.ndarray:
+        return np.zeros((self.n + 4, self.w), dtype=complex)
+
+    def band(self, buf: np.ndarray) -> np.ndarray:
+        """D as an N x (K + 1) view of the buffer."""
+        return buf[2:self.n + 2, 2:self.K + 3]
+
+    def from_full(self, values: np.ndarray) -> np.ndarray:
+        """The buffer of the hermitian part (rho + rho^dagger)/2, which is rho
+        itself, bit for bit, when rho is hermitian."""
+        buf = self.buffer()
+        flat = values.ravel()
+        buf.ravel()[self._cells] = 0.5 * (flat[self._upper] + flat[self._lower].conj())
+        return buf
+
+    def to_full(self, buf: np.ndarray) -> np.ndarray:
         values = np.zeros((self.n, self.n), dtype=complex)
-        flat = band.ravel()[self._cells]
+        flat = buf.ravel()[self._cells]
         values.ravel()[self._lower] = flat.conj()
         values.ravel()[self._upper] = flat
         return values
 
-    def sample(self, band: np.ndarray, x: np.ndarray, t: float, hbar: float) -> dict:
+    def sample(self, buf: np.ndarray, x: np.ndarray, t: float, hbar: float) -> dict:
         """Grid moments, trace and hermiticity residual read off the band.
         The mirror is exact off the diagonal, so rho - rho^dagger is
         2i Im rho(x, x) there alone."""
-        m = self.moments(band, x, t, hbar)
+        m = self.moments(buf, x, t, hbar)
+        band = self.band(buf)
         dx = float(x[1] - x[0])
         trace = float(np.real(band[:, 0]).sum() * dx)
         peak = float(np.abs(band).max())
         herm = 2.0 * float(np.abs(band[:, 0].imag).max()) / peak if peak > 0.0 else 0.0
         return {"t": t, "q2": m.q2, "p2": m.p2, "qp": m.qp, "trace": trace, "herm": herm}
 
-    def moments(self, band: np.ndarray, x: np.ndarray, t: float, hbar: float) -> MomentState:
+    def moments(self, buf: np.ndarray, x: np.ndarray, t: float, hbar: float) -> MomentState:
         """<q^2> from the diagonal; <p^2>, <qp+pq> from 4th-order stencils in
         the anti-diagonal direction u = x - y at y = x (m <= 4)."""
+        band = self.band(buf)
         if not np.all(np.isfinite(band)):
             raise StateError("grid contains non-finite values")
         n = self.n
@@ -249,7 +264,7 @@ class _Band:
         def antidiag(k: int) -> np.ndarray:
             # f_-k(i) = rho(x_{i-k}, x_{i+k}) = D[i - k, 2k]; 0 off the grid
             v = np.zeros(n, dtype=complex)
-            if 2 * k < self.w:
+            if 2 * k <= self.K:
                 v[k:] = band[:n - k, 2 * k]
             return v
 
@@ -271,23 +286,34 @@ class _BandOperator(_Band):
     decoherence factor P enters each step only through E = exp(P dt/2).
 
     An x-neighbour rho(x_{i+a}, y) is D[i + a, m - a] and a y-neighbour is
-    D[i, m + b], so every stencil read is one slice of a zero-bordered
-    buffer whose columns m = -1, -2 are refilled with the mirror image
-    conj D[i + m, -m] before each pass.  The border is the clamped boundary
-    both of the box and of the band, and inside the band the discrete
-    operator is the full grid's: every term maps a hermitian rho to a
-    hermitian one, so the lower half it would compute is the mirror of the
-    upper.  The cells off the grid are zeroed on every output, so they read
-    as the box's zero border.  Every array operation writes into a
-    preallocated work buffer: at N = 256 the evolution is memory bound.
+    D[i, m + b].  In the row-major buffer they sit a (W - 1) and b cells
+    from D[i, m], so every stencil read is one contiguous run of N W cells,
+    shifted by that offset from the run that starts at D[0, 0] and taken as
+    an N x W array.  Column m <= K of that array is D[:, m]; its last four
+    columns are pad (the two zero columns beyond the band edge, then the
+    next row's mirror columns), where the arithmetic makes values that are
+    never read.  Every output is zeroed there and off the grid (i + m >= N)
+    on every pass, so the zero border stays zero.  The mirror columns
+    m = -1, -2 of an input are refilled with conj D[i + m, -m] before each
+    pass.  The state, the RK4 stage and the inner derivative of the Dqq
+    term are such buffers, so no pass copies its input in.
+
+    The border is the clamped boundary both of the box and of the band, and
+    inside the band the discrete operator is the full grid's: every term
+    maps a hermitian rho to a hermitian one, so the lower half it would
+    compute is the mirror of the upper.  Every array operation is over
+    contiguous memory and writes into a preallocated buffer: at N = 256 the
+    evolution is memory bound.
     """
 
     def __init__(self, x: np.ndarray, p: SystemParams, d: DiffusionConstants, K: int):
         n = len(x)
         super().__init__(n, K)
+        w = self.w
         dx = float(x[1] - x[0])
-        self.xmy = -self._m * dx
-        self.xpy = x[:, None] + x[self._j]
+        col = np.arange(w)
+        self.xmy = np.where(col <= K, -col * dx, 0.0)
+        self.xpy = x[:, None] + x[np.minimum(self._i + col, n - 1)]
         # P = -i c_pot (x^2 - y^2) - c_dec (x - y)^2
         self.c_pot = p.M * p.omega0 ** 2 / (2.0 * p.hbar)
         self.c_dec = d.Dpp / p.hbar ** 2
@@ -302,53 +328,60 @@ class _BandOperator(_Band):
         # both first derivatives of the composed Dqq stencil carry 1/(12 dx)
         self.cDqq = d.Dqq * c1 * c1
 
-        i, j, inside = self._i, self._j, self._inside
+        i, j = self._i, self._i + self._m
+        inside = j < n
         # the outermost ring of the box is clamped to zero after each step;
         # leakage shows one ring in, and at the band edge one column in
         def ring(k: int) -> np.ndarray:
-            return np.flatnonzero(inside & ((i == k) | (i == n - 1 - k) | (j == k)
-                                            | (j == n - 1 - k)))
+            return self.index(*np.nonzero(inside & ((i == k) | (i == n - 1 - k) | (j == k)
+                                                    | (j == n - 1 - k))))
 
         self._ring, self._ring_in = ring(0), ring(1)
-        self._band_edge = np.flatnonzero(inside & (self._m == K - 1))
+        self._band_edge = self.index(*np.nonzero(inside & (self._m == K - 1)))
+        # the cells of the run that zeroing keeps at zero: pad and off the grid
+        self._dead = self.index(*np.nonzero((col > K) | (self._i + col >= n)))
 
-        shape = (n, self.w)
-        self._fp = np.zeros((n + 4, self.w + 4), dtype=complex)
-        self._gp = np.zeros((n + 4, self.w + 4), dtype=complex)
-        self._fx, self._fy = self._shifts(self._fp)
-        self._gx, self._gy = self._shifts(self._gp)
-        row, col = np.divmod(self._outside, self.w)
-        self._outside_padded = (row + 2) * (self.w + 4) + col + 2
+        shape = (n, w)
+        self._g = self.buffer()
+        self._stage = self.buffer()
+        self._acc = self.buffer()
+        self._k = self.buffer()
+        self._factor = self.buffer()
         self._b1 = np.empty(shape, dtype=complex)
         self._b2 = np.empty(shape, dtype=complex)
         self._t1 = np.empty(shape, dtype=complex)
         self._t2 = np.empty(shape, dtype=complex)
-        self._stage = np.empty(shape, dtype=complex)
-        self._acc = np.empty(shape, dtype=complex)
-        self._k = np.empty(shape, dtype=complex)
-        self._factor = np.empty(shape, dtype=complex)
         self._factor_dt: Optional[float] = None
 
-    def _shifts(self, buf: np.ndarray) -> tuple[list, list]:
-        """Views of a padded buffer at offsets -2..2: x-neighbours D[i+a, m-a]
-        and y-neighbours D[i, m+b], indexed by offset + 2."""
-        n, w = self.n, self.w
-        xs = [buf[2 + a:n + 2 + a, 2 - a:w + 2 - a] for a in range(-2, 3)]
-        ys = [buf[2:n + 2, 2 + b:w + 2 + b] for b in range(-2, 3)]
-        return xs, ys
+    def _run(self, buf: np.ndarray) -> np.ndarray:
+        """The run of buf from D[0, 0]: a view of its N W cells as an N x W
+        array (a buffer that is not contiguous raises ValueError)."""
+        return np.ndarray((self.n, self.w), buf.dtype, buf, self.index(0, 0) * buf.itemsize)
+
+    def _neighbours(self, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The x-neighbours D[i+a, m-a] and y-neighbours D[i, m+b] of the
+        run, indexed by offset + 2: two stacks of five runs of buf, a (W - 1)
+        and b cells apart.  Each run is a contiguous N x W array."""
+        n, w, size = self.n, self.w, buf.itemsize
+        first = self.index(0, 0)
+        return (np.ndarray((5, n, w), buf.dtype, buf, (first - 2 * (w - 1)) * size,
+                           ((w - 1) * size, w * size, size)),
+                np.ndarray((5, n, w), buf.dtype, buf, (first - 2) * size,
+                           (size, w * size, size)))
 
     def _mirror(self, buf: np.ndarray) -> None:
-        """Columns m = -1, -2 of a padded buffer: rho(x_i, x_{i-c}) =
+        """Columns m = -1, -2 of a buffer: rho(x_i, x_{i-c}) =
         conj D[i - c, c], left at 0 where i - c leaves the grid."""
         n = self.n
         for c in (1, 2):
             np.conjugate(buf[2:n + 2 - c, 2 + c], out=buf[2 + c:n + 2, 2 - c])
 
     def factor(self, dt: float) -> np.ndarray:
-        """E = exp(P dt/2), rebuilt in place only when dt changes.  P is
-        exactly 0 on the diagonal, so E is exactly 1 there."""
+        """E = exp(P dt/2) as a buffer, rebuilt in place only when dt
+        changes.  P is exactly 0 on the diagonal, so E is exactly 1 there,
+        and on the pad."""
         if dt != self._factor_dt:
-            E = self._factor
+            E = self._run(self._factor)
             h = 0.5 * dt
             E.real[...] = self.xmy * self.xmy * (-h * self.c_dec)
             # x^2 - y^2 = (x + y)(x - y)
@@ -360,7 +393,7 @@ class _BandOperator(_Band):
 
     @staticmethod
     def _d1_pair(cx, cy, out, tmp, tmp2):
-        """out = unscaled 4th-order (d/dx + d/dy) from the offset views."""
+        """out = unscaled 4th-order (d/dx + d/dy) from the neighbour runs."""
         np.subtract(cx[0], cx[4], out=out)
         np.subtract(cy[0], cy[4], out=tmp)
         out += tmp
@@ -371,10 +404,12 @@ class _BandOperator(_Band):
         out += tmp
 
     def rhs(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The stencil terms of the buffer rho, written into the buffer out.
+        Refills rho's mirror columns; writes only out's run."""
         b1, b2, t1, t2 = self._b1, self._b2, self._t1, self._t2
-        cx, cy = self._fx, self._fy
-        cy[2][...] = rho
-        self._mirror(self._fp)
+        self._mirror(rho)
+        cx, cy = self._neighbours(rho)
+        o = self._run(out)
 
         # first derivatives (unscaled by c1 until used)
         np.subtract(cx[0], cx[4], out=b1)
@@ -387,70 +422,71 @@ class _BandOperator(_Band):
         b2 += t1
 
         # kinetic: (d2x - d2y); the -30*f/12dx^2 terms cancel between the axes
-        np.add(cx[1], cx[3], out=out)
+        np.add(cx[1], cx[3], out=o)
         np.add(cy[1], cy[3], out=t1)
-        out -= t1
-        out *= 16.0
+        o -= t1
+        o *= 16.0
         np.add(cx[0], cx[4], out=t1)
-        out -= t1
+        o -= t1
         np.add(cy[0], cy[4], out=t1)
-        out += t1
-        out *= self.c_kin
+        o += t1
+        o *= self.c_kin
 
         # friction + anomalous: xmy * (ca*d1x + cb*d1y) * c1
         np.multiply(b1, self.ca * self.c1, out=t1)
         np.multiply(b2, self.cb * self.c1, out=t2)
         t1 += t2
         t1 *= self.xmy
-        out += t1
+        o += t1
 
         if self.cDqq != 0.0:
             # position diffusion (d/dx + d/dy)^2 via composition of the
             # antisymmetric first-derivative stencil: conserves the discrete
             # trace exactly.  The inner derivative is zero off the grid, as
             # in the box's border, and hermitian like rho.
-            np.add(b1, b2, out=self._gy[2])
-            self._gp.ravel()[self._outside_padded] = 0.0
-            self._mirror(self._gp)
-            self._d1_pair(self._gx, self._gy, t1, t2, b2)
+            g = self._g
+            np.add(b1, b2, out=self._run(g))
+            g.ravel()[self._dead] = 0.0
+            self._mirror(g)
+            self._d1_pair(*self._neighbours(g), t1, t2, b2)
             t1 *= self.cDqq
-            out += t1
-        out.ravel()[self._outside] = 0.0
+            o += t1
+        out.ravel()[self._dead] = 0.0
         return out
 
     def lawson_inplace(self, rho: np.ndarray, dt: float) -> None:
-        """Advance the band rho by one Lawson RK4 step, reusing the
-        operator's buffers.
+        """Advance the buffer rho by one Lawson RK4 step, reusing the
+        operator's buffers.  Every update is over the runs from D[0, 0].
 
         With N = rhs, h = dt and E = exp(P h/2):
           k1 = N(u), k2 = N(E(u + h/2 k1)), k3 = N(E u + h/2 k2),
           k4 = N(E(E u + h k3)),
           u' = E(E u + h/6 (E k1 + 2 k2 + 2 k3)) + h/6 k4.
         """
-        E = self.factor(dt)
-        acc, k, stage = self._acc, self._k, self._stage
-        self.rhs(rho, acc)                       # k1
-        rho *= E                                 # rho holds E u from here
+        E = self._run(self.factor(dt))
+        u, acc, k, stage = (self._run(b) for b in (rho, self._acc, self._k, self._stage))
+        self.rhs(rho, self._acc)                 # k1
+        u *= E                                   # rho holds E u from here
         acc *= E
         np.multiply(acc, 0.5 * dt, out=stage)
-        stage += rho
-        self.rhs(stage, k)                       # k2
+        stage += u
+        self.rhs(self._stage, self._k)           # k2
         acc += k
         acc += k
         np.multiply(k, 0.5 * dt, out=stage)
-        stage += rho
-        self.rhs(stage, k)                       # k3
+        stage += u
+        self.rhs(self._stage, self._k)           # k3
         acc += k
         acc += k
         np.multiply(k, dt, out=stage)
-        stage += rho
+        stage += u
         stage *= E
-        self.rhs(stage, k)                       # k4
+        self.rhs(self._stage, self._k)           # k4
         acc *= dt / 6.0
-        rho += acc
-        rho *= E
+        u += acc
+        u *= E
         k *= dt / 6.0
-        rho += k
+        u += k
         # Dirichlet clamp: the outermost ring of the box is pinned to zero
         rho.ravel()[self._ring] = 0.0
 
@@ -459,7 +495,7 @@ class _BandOperator(_Band):
         relative to the peak.  A density matrix peaks on its diagonal
         (|rho(x, y)|^2 <= rho(x, x) rho(y, y)), so only column 0 is read for
         it, and the whole check is O(N) per call."""
-        peak = float(np.abs(rho[:, 0]).max())
+        peak = float(np.abs(self.band(rho)[:, 0]).max())
         if not peak > 0.0:
             return 0.0, 0.0
         flat = rho.ravel()

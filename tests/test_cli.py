@@ -253,6 +253,14 @@ class TestFreeParticleCmd:
         assert abs(table["alpha_limit"][2]) < 1e-6
         assert abs(table["alpha_prime_limit"][2]) < 1e-6
 
+    def test_failed_slope_fit_is_numerical_failure(self, capsys):
+        # the slope fit's times, 50/gamma..100/gamma, are ~1e-298: its
+        # column scaling underflows to 0 and divides by it
+        code, out, err = run_cli(["free-particle", "--gamma", "1e300"], capsys)
+        assert code == 2
+        assert "numerical failure: FloatingPointError" in err
+        assert out == ""
+
 
 class TestGridValidateCmd:
     def test_small_run_tracks(self, capsys, tmp_path):
@@ -343,11 +351,13 @@ class TestConfigErrors:
         ["tc-curve", "--hbar", "inf"],
         ["equilibrium", "--gamma-over-omega0", "nan"],
         ["equilibrium", "--T", "1:inf"],
+        ["tc-curve", "--points", "1"],
     ])
     def test_exit_1(self, argv, capsys):
-        code, _, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert "configuration error" in err
+        assert out == ""
 
     def test_help_lists_columns(self):
         # emitted headers are documented verbatim in --help

@@ -205,9 +205,7 @@ def explicit_rk4(g, p, d, t_end):
     ring = op.from_full(box) != 0.0
 
     def f(u):
-        out = np.empty_like(u)
-        op.rhs(u, out)
-        return out + P * u
+        return op.rhs(u, op.buffer()) + P * u
 
     dt = 0.25 * min(p.M * g.dx ** 2 / p.hbar, 1.0 / p.gamma,
                     p.hbar ** 2 / (d.Dpp * g.L ** 2))
@@ -224,11 +222,14 @@ def explicit_rk4(g, p, d, t_end):
     return DensityGrid(g.x, op.to_full(u), g.t + t_end), n
 
 
-def reference_rhs(u, x, p, d):
+def reference_rhs(u, x, p, d, K):
     """The stencil terms on the full N x N grid, written out term by term
     from zero-padded shifts: kinetic, friction + anomalous, and position
-    diffusion as the first-derivative stencil composed with itself."""
+    diffusion as the first-derivative stencil composed with itself.  The
+    inner derivative and the result are cut to the band |x - y| <= K dx,
+    beyond which the band holds zeros; K = N - 1 cuts nothing."""
     n, dx = len(x), x[1] - x[0]
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= K
 
     def d1(f):
         fp = np.pad(f, 2)
@@ -245,8 +246,8 @@ def reference_rhs(u, x, p, d):
     ca = 2j * d.Dpq / p.hbar - p.gamma
     cb = 2j * d.Dpq / p.hbar + p.gamma
     out = (1j * p.hbar / (2.0 * p.M)) * (d2x - d2y) + xmy * (ca * dx1 + cb * dy1)
-    ddx, ddy, _, _ = d1(dx1 + dy1)
-    return out + d.Dqq * (ddx + ddy)
+    ddx, ddy, _, _ = d1(np.where(band, dx1 + dy1, 0.0))
+    return np.where(band, out + d.Dqq * (ddx + ddy), 0.0)
 
 
 def spectral_radius(op, iters=400, tail=100):
@@ -254,15 +255,17 @@ def spectral_radius(op, iters=400, tail=100):
     A = op.rhs after iters - tail warm-up iterations from a fixed random
     hermitian start (a real diagonal)."""
     rng = np.random.default_rng(7)
-    v = rng.standard_normal((op.n, op.w)) + 1j * rng.standard_normal((op.n, op.w))
-    v[:, 0] = v[:, 0].real
-    w = np.empty_like(v)
+    v, w = op.buffer(), op.buffer()
+    band = op.band(v)
+    band[...] = rng.standard_normal(band.shape) + 1j * rng.standard_normal(band.shape)
+    band[:, 0] = band[:, 0].real
     log_growth = 0.0
     for i in range(iters):
+        v_norm = np.linalg.norm(v)      # before rhs fills v's mirror columns
         op.rhs(v, w)
         norm = np.linalg.norm(w)
         if i >= iters - tail:
-            log_growth += math.log(norm / np.linalg.norm(v))
+            log_growth += math.log(norm / v_norm)
         v, w = w / norm, v
     return math.exp(log_growth / tail)
 
@@ -292,26 +295,58 @@ class TestLawsonStep:
 
     def test_rhs_matches_full_grid_reference(self):
         # two rhs passes from a rough hermitian start, so any value left in
-        # the cells off the grid, or a wrong mirror column, would be read
-        # back; at the plan's K the band edge reaches 6 columns in after two
-        # passes, so compare inside that
+        # the cells off the grid or the pad, or a wrong mirror column, would
+        # be read back; K = 5 is the narrowest buffer row (W = 10)
         g = gaussian_state(displaced(), N=48)
         rng = np.random.default_rng(3)
         u = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
         u += u.conj().T
         offset = np.abs(np.subtract.outer(np.arange(48), np.arange(48)))
-        for K in (47, plan_steps(g, P, D, 1.0).K):
+        for K in (47, plan_steps(g, P, D, 1.0).K, grid._MIN_BAND):
             u_band = np.where(offset <= K, u, 0.0)
-            want = reference_rhs(reference_rhs(u_band, g.x, P, D), g.x, P, D)
+            want = reference_rhs(reference_rhs(u_band, g.x, P, D, K), g.x, P, D, K)
             op = _BandOperator(g.x, P, D, K)
-            once, twice = np.empty((48, op.w), complex), np.empty((48, op.w), complex)
-            op.rhs(op.from_full(u_band), once)
-            got = op.to_full(op.rhs(once, twice))
-            inner = offset <= (K if K == 47 else K - 6)
-            assert K == 47 or inner.sum() > 48 * 20
-            assert np.abs(got - want)[inner].max() <= 1e-12 * np.abs(want).max()
+            once = op.rhs(op.from_full(u_band), op.buffer())
+            got = op.to_full(op.rhs(once, op.buffer()))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            # 6 columns inside the band edge two passes of the uncut full
+            # grid agree too
+            full = reference_rhs(reference_rhs(u_band, g.x, P, D, 47), g.x, P, D, 47)
+            inner = offset <= K - 6
+            assert np.abs(got - full)[inner].max(initial=0.0) <= 1e-12 * np.abs(full).max()
             # the update maps a hermitian rho to a hermitian one
             assert np.abs(np.diagonal(got).imag).max() == 0.0
+
+    @pytest.mark.parametrize("K", [grid._MIN_BAND, 24, 47])
+    def test_border_and_pad_stay_zero(self, K):
+        # Lawson steps and one more rhs from a rough hermitian start: every
+        # buffer cell that the stencil reads as border is exactly 0, that is
+        # the box's border rows, the columns beyond the band edge, the cells
+        # off the grid (i + m >= N) and the clamped outermost ring.  Only the
+        # band and the mirror columns m = -1, -2 of rho (refilled by each
+        # rhs) may hold values; an rhs output has no mirror values.
+        g = gaussian_state(displaced(), N=48)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+        op = _BandOperator(g.x, P, D, K)
+        rho = op.from_full(u + u.conj().T)
+        for _ in range(4):
+            op.lawson_inplace(rho, stable_dt(g, P, D))
+        out = op.rhs(rho, op.buffer())
+        i, m = np.nonzero(np.ones((48, K + 1), bool))
+        j = i + m
+        on_grid = j < 48
+        edge = on_grid & ((i == 0) | (j == 0) | (i == 47) | (j == 47))
+        live = np.zeros(rho.shape, bool)
+        live.reshape(-1)[op.index(i[on_grid], m[on_grid])] = True
+        rim = np.zeros(rho.shape, bool)
+        rim.reshape(-1)[op.index(i[edge], m[edge])] = True
+        assert np.all(out[~live] == 0.0)
+        mirror = live.copy()
+        for c in (1, 2):
+            mirror[2 + c:50, 2 - c] = True
+        assert np.all(rho[~mirror | rim] == 0.0)
+        assert np.all(rho[live & ~rim] != 0.0)
 
     def test_matches_explicit_rk4(self):
         # Lawson RK4 at its own bound against classical RK4 on the whole
@@ -334,7 +369,7 @@ class TestLawsonStep:
         assert K < g.N - 1
         op = _BandOperator(g.x, P, D, K)
         E = op.factor(0.01)
-        assert np.all(E[:, 0] == 1.0)
+        assert np.all(op.band(E)[:, 0] == 1.0)
         # the mirrored lower half matches exp(P dt/2) computed there: E is
         # hermitian-symmetric, so the upper band determines it
         offset = np.abs(np.subtract.outer(np.arange(g.N), np.arange(g.N)))
@@ -367,8 +402,8 @@ class TestLawsonStep:
         assert plan_steps(g, P, D, 3.0).K == g.N - 1
         full, _ = evolve(g, P, D, 3.0, dt=dt, sample_every=10 ** 6)
         assert np.abs(band.values - full.values).max() <= 1e-10 * np.abs(full.values).max()
-        # the full-width band stores no more cells than the N x N grid
-        assert _BandOperator(g.x, P, D, g.N - 1)._k.size == g.N ** 2
+        # the full-width band's buffer is the full grid's zero-padded one
+        assert _BandOperator(g.x, P, D, g.N - 1)._k.shape == (g.N + 4, g.N + 4)
 
     def test_band_plan_is_independent_of_sampling_chunks(self, monkeypatch):
         # an underdamped run over 60 periods samples ~2000 moment times
