@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -252,8 +253,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser parse_config uses, built once per process: parse_args keeps
+    no state between calls, and building the tree costs more than a parse."""
+    return build_parser()
+
+
 def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     kw = dict(command=args.command)
     for name in ("M", "omega0", "gamma", "T", "omega_c", "hbar", "kB", "points", "out"):
         if hasattr(args, name) and not (name == "T" and isinstance(getattr(args, name), str)):
@@ -268,14 +276,6 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     if kw.get("points", 1) < 1:
         raise ConfigError("--points must be positive")
     return RunConfig(**kw)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return FLOAT_FMT % v
-    return str(v)
 
 
 _PLOT_BODIES = {
@@ -325,23 +325,39 @@ def _check_finite(header: list[str], rows: list[tuple]) -> None:
     for i, row in enumerate(rows):
         for name, v in zip(header, row):
             if isinstance(v, (float, np.floating)) and not math.isfinite(v):
-                raise NonFiniteOutputError(f"{name} = {_fmt(v)} in data row {i + 1}")
+                raise NonFiniteOutputError(f"{name} = {FLOAT_FMT % v} in data row {i + 1}")
+
+
+def _open_out(path: str, flag: str, **kw):
+    """Open an output file for writing; a path that cannot be opened is a
+    configuration error."""
+    try:
+        return open(path, "w", **kw)
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _emit(cfg: RunConfig, meta: str, rows: list[tuple], xlabel: str = "") -> None:
-    """Write the CSV, or raise NonFiniteOutputError if any value is nan/inf."""
+    """Write the CSV, or raise NonFiniteOutputError if any value is nan/inf.
+
+    rows is a non-empty list of tuples, and each column holds one type in
+    every row (a float of either kind, or a value printed as str), so the
+    first row's types give one row template: FLOAT_FMT for a float, %s for
+    anything else."""
     header = COLUMNS[cfg.command]
-    body = "".join([",".join([_fmt(v) for v in row]) + "\r\n" for row in rows])
+    template = ",".join([FLOAT_FMT if isinstance(v, (float, np.floating)) else "%s"
+                         for v in rows[0]]) + "\r\n"
+    body = "".join([template % row for row in rows])
     # "%.17g" spells non-finite floats nan, inf or -inf: screening the text
     # costs one substring scan, and only a hit pays for the exact check
     if "nan" in body or "inf" in body:
         _check_finite(header, rows)
     text = f"# qbrown {cfg.command} {meta}\r\n" + ",".join(header) + "\r\n" + body
     if cfg.out:
-        with open(cfg.out, "w", newline="") as f:
+        with _open_out(cfg.out, "--out", newline="") as f:
             f.write(text)
         if cfg.command in _PLOT_BODIES:
-            with open(cfg.out + ".plot.py", "w") as f:
+            with _open_out(cfg.out + ".plot.py", "--out") as f:
                 f.write(_PLOT_TEMPLATE.format(csv=cfg.out, body=_PLOT_BODIES[cfg.command],
                                               xlabel=xlabel, png=cfg.out + ".png"))
     else:
@@ -372,7 +388,8 @@ def _run_diffusion(cfg: RunConfig) -> int:
     var, values, p = _swept_params(cfg)
     d = diffusion_constants(p)
     rep = positivity_delta(d)
-    rows = _columns(var, values, d.Dpp, d.Dqq, d.Dpq, rep.delta, rep.positive)
+    positive = np.where(rep.positive, "true", "false")
+    rows = _columns(var, values, d.Dpp, d.Dqq, d.Dpq, rep.delta, positive)
     _emit(cfg, cfg.convention(), rows, xlabel=var)
     return 0
 
@@ -509,7 +526,8 @@ def _run_grid_validate(cfg: RunConfig) -> int:
                     abs(s["qp"] - qp) / math.sqrt(q2 * p2))
     _emit(cfg, cfg.convention() + f" N={g0.N} L={g0.L:g}", rows, xlabel="t")
     if cfg.options.get("snapshot_out"):
-        final.write_csv(cfg.options["snapshot_out"], params=p)
+        with _open_out(cfg.options["snapshot_out"], "--snapshot-out", newline="") as f:
+            final.write_csv(f, params=p)
     drift = max(abs(s["trace"] - samples[0]["trace"]) for s in samples)
     herm = max(s["herm"] for s in samples)
     print(f"grid-validate: worst moment gap {worst:.3e}, trace drift {drift:.3e}, "

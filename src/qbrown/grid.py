@@ -312,7 +312,11 @@ class _BandOperator(_Band):
         w = self.w
         dx = float(x[1] - x[0])
         col = np.arange(w)
-        self.xmy = np.where(col <= K, -col * dx, 0.0)
+        # x - y over the run, as a C-ordered N x W complex array like rhs's
+        # operand: a broadcast row with a float-to-complex cast multiplies at
+        # half speed, and astype would copy the broadcast in Fortran order
+        self.xmy = np.broadcast_to(np.where(col <= K, -col * dx, 0.0), (n, w)).astype(
+            complex, order="C")
         self.xpy = x[:, None] + x[np.minimum(self._i + col, n - 1)]
         # P = -i c_pot (x^2 - y^2) - c_dec (x - y)^2
         self.c_pot = p.M * p.omega0 ** 2 / (2.0 * p.hbar)
@@ -383,9 +387,10 @@ class _BandOperator(_Band):
         if dt != self._factor_dt:
             E = self._run(self._factor)
             h = 0.5 * dt
-            E.real[...] = self.xmy * self.xmy * (-h * self.c_dec)
+            xmy = self.xmy.real
+            E.real[...] = xmy * xmy * (-h * self.c_dec)
             # x^2 - y^2 = (x + y)(x - y)
-            np.multiply(self.xpy, self.xmy, out=E.imag)
+            np.multiply(self.xpy, xmy, out=E.imag)
             E.imag *= -h * self.c_pot
             np.exp(E, out=E)
             self._factor_dt = dt

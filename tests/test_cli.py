@@ -10,9 +10,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qbrown import selftest
+from qbrown import cli, selftest
 from qbrown.cli import COLUMNS, build_parser, main
 from qbrown.coefficients import alpha_pair
 from qbrown.core import SystemParams
@@ -24,6 +25,14 @@ def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports the same qbrown
+    the tests do."""
+    root = str(Path(selftest.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
 def parse_csv(text):
@@ -331,6 +340,126 @@ class TestNonFiniteOutput:
         assert not out_file.exists() and out == ""
 
 
+def reference_csv(command, meta, rows):
+    """The CSV text by the per-value rule that the row template replaced: a
+    bool as true/false, a float of either kind as %.17g, anything else as str."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, (float, np.floating)):
+            return "%.17g" % v
+        return str(v)
+
+    lines = [f"# qbrown {command} {meta}", ",".join(COLUMNS[command])]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    return "".join(line + "\r\n" for line in lines)
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """The (command, meta, rows) of every table the CLI emits."""
+    calls = []
+    real = cli._emit
+
+    def spy(cfg, meta, rows, xlabel=""):
+        calls.append((cfg.command, meta, list(rows)))
+        return real(cfg, meta, rows, xlabel)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    return calls
+
+
+GRID_SMALL = ["grid-validate", "--omega0", "2", "--T", "2", "--N", "96", "--t-end", "0.3",
+              "--sample-every", "50"]
+
+
+class TestEmission:
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--sweep", "omega0=0.5:1.5", "--points", "11", "--omega-c", "40"],
+        # sweep values and results with exponents near +-300
+        ["coeffs", "--sweep", "T=1e-300:1e300:log", "--points", "9"],
+        ["diffusion", "--sweep", "T=1e-300:1e300:log", "--points", "9"],
+        ["tc-curve", "--omega0-over-gamma", "0.01:10", "--points", "5"],
+        # a single-row table
+        ["equilibrium", "--gamma-over-omega0", "0.25", "--T", "200:400", "--points", "1"],
+        ["moments", "--t-end", "1", "--points", "5"],
+        ["free-particle"],             # np.float64 and float cells in one column
+        GRID_SMALL,
+    ])
+    def test_bytes_match_per_value_join(self, argv, emitted, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        (command, meta, rows), = emitted
+        assert out.read_bytes() == reference_csv(command, meta, rows).encode()
+        if command == "diffusion":
+            assert {r[-1] for r in rows} == {"true", "false"}
+
+    def test_edge_cells(self, capsys, tmp_path):
+        rows = [("a", np.float64(1e-300), -0.0, 1.7976931348623157e308),
+                ("b", 5e-324, np.float64(-0.0), np.float64(-2.5e-308)),
+                ("c", 1.0, np.float64(3.0), -1e300)]
+        for table in (rows, rows[:1]):
+            path = tmp_path / f"{len(table)}.csv"
+            cli._emit(cli.RunConfig("free-particle", out=str(path)), "m=1", table)
+            assert path.read_bytes() == reference_csv("free-particle", "m=1", table).encode()
+        cli._emit(cli.RunConfig("free-particle"), "m=1", rows)
+        assert capsys.readouterr().out == reference_csv("free-particle", "m=1", rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_non_finite_row_raises_and_writes_nothing(self, bad, capsys, tmp_path):
+        rows = [(0.5, 0.4), (1.0, bad), (2.0, 0.3)]
+        path = tmp_path / "tc.csv"
+        for out in (str(path), None):
+            with pytest.raises(cli.NonFiniteOutputError) as info:
+                cli._emit(cli.RunConfig("tc-curve", out=out), "m=1", rows)
+            assert str(info.value) == f"kBTc_over_hbar_gamma = {'%.17g' % bad} in data row 2"
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["coeffs", "--points", "2"], "--out"),
+        (["tc-curve", "--points", "2"], "--out"),
+        (GRID_SMALL, "--snapshot-out"),
+    ])
+    def test_configuration_error(self, argv, flag, where, capsys, tmp_path):
+        path = tmp_path / "no-such-dir" / "x.csv" if where == "missing-directory" else tmp_path
+        code, _, err = run_cli(argv + [flag, str(path)], capsys)
+        assert code == 1
+        assert err.startswith(f"qbrown: configuration error: {flag}: cannot write ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_no_option_carries_over(self, capsys, tmp_path):
+        # every call after the first reuses the parser; each must write what
+        # a fresh process writes, with no value left from an earlier call,
+        # even a flag (--omega-c) that the later subcommand does not have
+        first = tmp_path / "first.csv"
+        assert main(["coeffs", "--omega0", "3", "--omega-c", "40", "--sweep", "T=1:2",
+                     "--points", "4", "--out", str(first)]) == 0
+        # argparse fails after it has read --omega0
+        assert main(["coeffs", "--omega0", "5", "--points", "nope"]) == 1
+        later = [["equilibrium", "--gamma-over-omega0", "0.25", "--T", "200:400",
+                  "--points", "1"],
+                 ["coeffs", "--points", "4"]]
+        code = "import sys; from qbrown.cli import main; sys.exit(main(sys.argv[1:]))"
+        for k, argv in enumerate(later):
+            reused, fresh = tmp_path / f"reused{k}.csv", tmp_path / f"fresh{k}.csv"
+            assert main(argv + ["--out", str(reused)]) == 0
+            proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(fresh)],
+                                  env=fresh_env(), capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert reused.read_bytes() == fresh.read_bytes() != first.read_bytes()
+        capsys.readouterr()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("argv", [
         ["coeffs", "--sweep", "bogus"],
@@ -387,11 +516,7 @@ class TestSelftestCmd:
         # still fail the run
         code = ("import sys; from qbrown import selftest; "
                 "selftest.PINNED_ALPHA = 0.5; sys.exit(selftest.run_selftest())")
-        # the subprocess imports the same qbrown the tests do
-        root = str(Path(selftest.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=fresh_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "FAIL pinned alpha, alpha'" in proc.stdout

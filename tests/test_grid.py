@@ -317,6 +317,17 @@ class TestLawsonStep:
             # the update maps a hermitian rho to a hermitian one
             assert np.abs(np.diagonal(got).imag).max() == 0.0
 
+    def test_friction_factor_is_a_contiguous_operand(self):
+        # rhs multiplies its N x W stage by x - y in place; a broadcast row,
+        # or an F-ordered copy of one, runs that multiply at about half speed
+        g = gaussian_state(displaced(), N=48)
+        op = _BandOperator(g.x, P, D, 20)
+        assert op.xmy.dtype == op._t1.dtype and op.xmy.shape == op._t1.shape
+        assert op.xmy.flags.c_contiguous
+        m = np.arange(op.w)
+        want = np.where(m <= 20, -m * float(g.x[1] - g.x[0]), 0.0)
+        assert np.array_equal(op.xmy, np.broadcast_to(want, op.xmy.shape))
+
     @pytest.mark.parametrize("K", [grid._MIN_BAND, 24, 47])
     def test_border_and_pad_stay_zero(self, K):
         # Lawson steps and one more rhs from a rough hermitian start: every
