@@ -8,8 +8,10 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -337,6 +339,23 @@ def _open_out(path: str, flag: str, **kw):
         raise ConfigError(f"{flag}: cannot write {path!r}: {exc.strerror}") from exc
 
 
+@contextlib.contextmanager
+def _early_out(path: Optional[str], flag: str):
+    """Open an output file before the work that fills it, so an unwritable
+    path fails at once; remove the file if that work fails.  Yields None
+    when no path is given."""
+    if not path:
+        yield None
+        return
+    f = _open_out(path, flag, newline="")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def _emit(cfg: RunConfig, meta: str, rows: list[tuple], xlabel: str = "") -> None:
     """Write the CSV, or raise NonFiniteOutputError if any value is nan/inf.
 
@@ -511,23 +530,23 @@ def _run_grid_validate(cfg: RunConfig) -> int:
     L = L or suggested_half_width(1.05 * max(s0.q2, eq.q2), p, d, N=N)
     g0 = gaussian_state(s0, N=N, L=L, hbar=p.hbar)
     plan = plan_steps(g0, p, d, t_end)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", BoundaryMassWarning)
-        # the plan's own dt, so evolve takes exactly the plan reported below
-        final, samples = grid_evolve(g0, p, d, t_end, dt=plan.dt, sample_every=every)
-    for w in caught:  # pass every warning on to the caller's filters
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    a = analytic_solution(s0, p, d, np.array([s["t"] for s in samples]))
-    rows = []
-    worst = 0.0
-    for s, q2, p2, qp in zip(samples, a.q2.tolist(), a.p2.tolist(), a.qp.tolist()):
-        rows.append((s["t"], s["q2"], q2, s["p2"], p2, s["qp"], qp, s["trace"], s["herm"]))
-        worst = max(worst, abs(s["q2"] / q2 - 1.0), abs(s["p2"] / p2 - 1.0),
-                    abs(s["qp"] - qp) / math.sqrt(q2 * p2))
-    _emit(cfg, cfg.convention() + f" N={g0.N} L={g0.L:g}", rows, xlabel="t")
-    if cfg.options.get("snapshot_out"):
-        with _open_out(cfg.options["snapshot_out"], "--snapshot-out", newline="") as f:
-            final.write_csv(f, params=p)
+    with _early_out(cfg.options.get("snapshot_out"), "--snapshot-out") as snapshot:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", BoundaryMassWarning)
+            # the plan's own dt, so evolve takes exactly the plan reported below
+            final, samples = grid_evolve(g0, p, d, t_end, dt=plan.dt, sample_every=every)
+        for w in caught:  # pass every warning on to the caller's filters
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        a = analytic_solution(s0, p, d, np.array([s["t"] for s in samples]))
+        rows = []
+        worst = 0.0
+        for s, q2, p2, qp in zip(samples, a.q2.tolist(), a.p2.tolist(), a.qp.tolist()):
+            rows.append((s["t"], s["q2"], q2, s["p2"], p2, s["qp"], qp, s["trace"], s["herm"]))
+            worst = max(worst, abs(s["q2"] / q2 - 1.0), abs(s["p2"] / p2 - 1.0),
+                        abs(s["qp"] - qp) / math.sqrt(q2 * p2))
+        _emit(cfg, cfg.convention() + f" N={g0.N} L={g0.L:g}", rows, xlabel="t")
+        if snapshot is not None:
+            final.write_csv(snapshot, params=p)
     drift = max(abs(s["trace"] - samples[0]["trace"]) for s in samples)
     herm = max(s["herm"] for s in samples)
     print(f"grid-validate: worst moment gap {worst:.3e}, trace drift {drift:.3e}, "

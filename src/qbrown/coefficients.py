@@ -5,6 +5,13 @@ classical paths.
 All diffusion constants downstream are products of kB*T*gamma with these two
 numbers.  ``alpha`` is dimensionless; ``alpha_prime`` carries 1/frequency^2
 from its (lambda2 - lambda1)^-2 prefactor.
+
+``alpha_scalar`` evaluates the closed forms in Python ``complex`` arithmetic
+and is the reference.  ``alpha_arrays`` reproduces its real parts bit for
+bit while keeping complex arithmetic only where a value is complex: the
+lambda1 bracket of an underdamped system.  Its conjugate, the lambda2
+bracket, is read off the lambda1 bracket (see ``core`` on conjugate
+symmetry), and everything else is real.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .core import (
     CRITICAL_TOL,
     SystemParams,
     TemperatureError,
+    _xcothx_m1_real,
     cdiv,
     cmul,
     decay_rates,
@@ -41,9 +49,12 @@ class AlphaPair:
     """alpha, alpha' and the size of the imaginary residue discarded.
 
     For underdamped systems the two complex decay modes enter as a conjugate
-    pair, so both coefficients are real up to rounding; ``residual_imag`` is
-    the larger relative imaginary part that was dropped.  ``alpha_arrays``
-    returns the same record with array fields.
+    pair, so both coefficients are real; ``residual_imag`` is the larger
+    relative imaginary part that was dropped.  The conjugate terms cancel
+    exactly, so it is 0.0 for every finite element on both paths; the
+    array path, which never forms the imaginary parts, gives 0.0 where
+    alpha and alpha' are finite and NaN elsewhere.  ``alpha_arrays`` returns
+    the same record with array fields.
     """
 
     alpha: float
@@ -64,9 +75,22 @@ def _bracket(z: np.ndarray, lam: np.ndarray, omega_c: Optional[np.ndarray]) -> n
     return cdiv(x - d, 1.0 + d)
 
 
+def _bracket_real(x: np.ndarray, lam: np.ndarray, omega_c: Optional[np.ndarray]) -> np.ndarray:
+    """``_bracket`` of a real argument and real lam, as the real part of the
+    complex form: every imaginary part there is an exact zero."""
+    b = _xcothx_m1_real(x)
+    if omega_c is None:
+        return b
+    q = lam / omega_c
+    d = q * q
+    return (b - d) / (1.0 + d)
+
+
 def _alpha_raw(w, T, g, wc, hbar, kB) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the three-bracket closed forms on 1-D parameter arrays
-    (``wc`` None when no element has a finite cutoff).
+    """Evaluate the three-bracket closed forms on parameter arrays that
+    broadcast against each other (``wc`` None when no element has a finite
+    cutoff).  The decay rates and every factor that depends on omega0 and
+    gamma alone are computed once at the broadcast shape of ``w`` and ``g``.
 
     sqrt(lambda1*lambda2) is resolved to +omega0 (principal value; the product
     is omega0^2 exactly, and evenness of xcothx makes the sign immaterial).
@@ -76,28 +100,43 @@ def _alpha_raw(w, T, g, wc, hbar, kB) -> tuple[np.ndarray, np.ndarray]:
     omega0 > 0 so small that lambda1^2 underflows (omega0 below
     ~1e-81*sqrt(2*gamma)): there the formula would divide 0 by 0, and its
     terms are far below one ulp of 1.
+
+    Only b1 and b1/lambda1^2 are complex.  The omega0 bracket is real; so is
+    the lambda2 bracket where gamma >= omega0.  Where gamma < omega0,
+    lambda2 = conj(lambda1), and the emulated products and quotients and the
+    complex exponential round a conjugate argument to the conjugate result,
+    so b2 = conj(b1) and b2/lambda2^2 = conj(b1/lambda1^2) bit for bit.  The
+    imaginary parts of ``terms`` and of the numerator of alpha' then cancel
+    exactly, d2 = (lambda2 - lambda1)^2 is real, and alpha, alpha' are the
+    real parts of the complex closed forms, in the same order of operations.
     """
     l1, l2 = decay_rates(w, g)[:2]
+    pair = g < w  # lambda1,2 a conjugate pair
     s = hbar / (2.0 * kB * T)
     b1 = _bracket(l1 * s, l1, wc)
-    bm = _bracket(w * s, w.astype(complex), wc)
-    b2 = _bracket(l2 * s, l2, wc)
+    bm = _bracket_real(w * s, w, wc)
+    b2 = np.where(pair, b1.real, _bracket_real(l2.real * s, l2.real, wc))
 
-    d2 = cmul(l2 - l1, l2 - l1)
+    dr, di = l2.real - l1.real, l2.imag - l1.imag
+    d2 = dr * dr - di * di
     l1sq = cmul(l1, l1)
     prod = w * w  # lambda1*lambda2
-    # where lambda1^2 = 0 these terms are 0/0; the branch below replaces them
-    terms = (cdiv(b1, l1sq) - cdiv(2.0 * bm, prod.astype(complex))
-             + cdiv(b2, cmul(l2, l2)))
-    alpha = 1.0 + cmul(cdiv((prod * prod).astype(complex), d2), terms)
-    alpha = np.where(l1sq == 0.0, 1.0 + 0.0j, alpha)
-    alpha_prime = cdiv(b1 - 2.0 * bm + b2, d2)
+    t1 = cdiv(b1, l1sq).real
+    # where lambda1^2 = 0 these terms are 0/0; alpha is 1 there instead
+    terms = t1 - 2.0 * bm / prod + np.where(pair, t1, b2 / (l2.real * l2.real))
+    alpha = np.where(l1sq == 0.0, 1.0, 1.0 + prod * prod / d2 * terms)
+    alpha_prime = (b1.real - 2.0 * bm + b2) / d2
     return alpha, alpha_prime
 
 
 def alpha_arrays(p: SystemParams) -> AlphaPair:
     """Dissipation coefficients of every system of a batch (see SystemParams),
-    as an AlphaPair of arrays of shape ``p.shape``.
+    as an AlphaPair of contiguous arrays of shape ``p.shape``.
+
+    The fields keep their own shapes and broadcast, so work that depends on
+    omega0 and gamma alone is done once per (omega0, gamma) element: a
+    (rows, 1) ratio against a (1, columns) temperature computes the decay
+    rates for ``rows`` systems only.
 
     Raises TemperatureError if any T = 0 (the coth arguments diverge) and
     PoleError if any coth argument meets a pole.  At critical damping the
@@ -105,7 +144,7 @@ def alpha_arrays(p: SystemParams) -> AlphaPair:
     take the two-sided average at omega0*(1 +/- 1e-7), accurate to ~1e-6.
     """
     shape = p.shape
-    w, T, g, wc, hbar, kB = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()
+    w, T, g, wc, hbar, kB = (np.asarray(v, dtype=float)
                              for v in (p.omega0, p.T, p.gamma, p.omega_c, p.hbar, p.kB))
     if np.any(T <= 0.0):
         raise TemperatureError("alpha, alpha' are only defined for T > 0")
@@ -113,28 +152,33 @@ def alpha_arrays(p: SystemParams) -> AlphaPair:
     infinite = bool(np.all(np.isinf(wc)))
     if infinite:
         wc = None
-    crit = np.flatnonzero(np.broadcast_to(p.is_critical(), shape))
-    w_hi = w.copy()
-    w_hi[crit] *= 1.0 + CRITICAL_NUDGE
+    crit = np.asarray(p.is_critical())  # at the (omega0, gamma) shape
     # omega0 = 0 elements divide 0 by 0 on the way and are replaced; an
     # overflow is no error, as in Python's float arithmetic
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a, ap = _alpha_raw(w_hi, T, g, wc, hbar, kB)
-        if crit.size:
-            a_lo, ap_lo = _alpha_raw(w[crit] * (1.0 - CRITICAL_NUDGE), T[crit], g[crit],
-                                     None if infinite else wc[crit], hbar[crit], kB[crit])
-            a[crit] = 0.5 * (a[crit] + a_lo)
-            ap[crit] = 0.5 * (ap[crit] + ap_lo)
+        a, ap = map(np.asarray, _alpha_raw(np.where(crit, w * (1.0 + CRITICAL_NUDGE), w),
+                                           T, g, wc, hbar, kB))
+        if crit.any():
+            at = np.broadcast_to(crit, a.shape)
+            w_lo, T_lo, g_lo, wc_lo, hbar_lo, kB_lo = (
+                None if v is None else np.broadcast_to(v, a.shape)[at]
+                for v in (w, T, g, wc, hbar, kB))
+            a_lo, ap_lo = _alpha_raw(w_lo * (1.0 - CRITICAL_NUDGE), T_lo, g_lo, wc_lo,
+                                     hbar_lo, kB_lo)
+            a[at] = 0.5 * (a[at] + a_lo)
+            ap[at] = 0.5 * (ap[at] + ap_lo)
 
-    residual = np.maximum(np.abs(a.imag) / np.maximum(np.abs(a.real), _TINY),
-                          np.abs(ap.imag) / np.maximum(np.abs(ap.real), _TINY))
+    # a field that takes no part here (M) may broadcast to a larger shape
+    a, ap = (np.array(np.broadcast_to(v, shape), order="C", copy=None) for v in (a, ap))
+    # alpha and alpha' are real expressions: nothing imaginary is dropped
+    residual = np.where(np.isfinite(a) & np.isfinite(ap), 0.0, np.nan)
     if logger.isEnabledFor(logging.DEBUG):
         # routine below the breakdown temperature; the positivity module, not
         # this one, decides what negative coefficients mean physically
-        bad = np.count_nonzero((a.real <= 0.0) | (ap.real < 0.0))
+        bad = np.count_nonzero((a <= 0.0) | (ap < 0.0))
         if bad:
-            logger.debug("non-positive coefficients at %d of %d points", bad, w.size)
-    return AlphaPair(a.real.reshape(shape), ap.real.reshape(shape), residual.reshape(shape))
+            logger.debug("non-positive coefficients at %d of %d points", bad, a.size)
+    return AlphaPair(a, ap, residual)
 
 
 def alpha_scalar(w: float, T: float, g: float, wc: float, hbar: float,

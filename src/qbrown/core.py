@@ -7,6 +7,17 @@ as Python's ``complex`` rounds them, so a batch evaluation reproduces a
 loop of scalar evaluations bit for bit.  A single value skips numpy and is
 evaluated in Python ``complex`` arithmetic, which is what the batch path
 reproduces.
+
+That emulation is kept only where a value is complex.  On a real argument
+every imaginary part in ``cmul``, ``cdiv`` and the exponential is an exact
+zero, so each real part is the real expression in the same order of
+operations; ``_xcothx_m1_real`` evaluates it in real arithmetic, with the
+complex exponential's real part (libm's ``exp``, not numpy's real one, which
+differs in the last place for a few percent of arguments).  Where a value is
+complex, its conjugate needs no second evaluation: ``cmul``, ``cdiv`` and the
+complex ``exp`` map conjugate arguments to the conjugate result bit for bit,
+since each part is the same rounded expression with signs flipped and
+rounding to nearest is odd-symmetric.
 """
 
 from __future__ import annotations
@@ -204,6 +215,20 @@ def xcothx_m1(z):
         e = np.exp(-2.0 * w)  # |e| <= 1, never overflows
         out = np.where(small, series, cdiv(cmul(w, 1.0 + e), 1.0 - e) - 1.0)
     return complex(out) if out.ndim == 0 else out
+
+
+def _xcothx_m1_real(x: np.ndarray) -> np.ndarray:
+    """xcothx_m1 of a real array, as a real array: the real part of
+    ``xcothx_m1(x)`` bit for bit wherever that is finite.  A real argument
+    has no pole.  Where x overflowed to inf this gives inf, where the complex
+    form gives NaN (its inf*0 imaginary cross terms)."""
+    small = np.abs(x) < _SERIES_RADIUS
+    w = np.abs(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x2 = x * x
+        series = x2 * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0)))
+        e = np.exp((-2.0 * w).astype(complex)).real  # libm's exp; |e| <= 1
+        return np.where(small, series, w * (1.0 + e) / (1.0 - e) - 1.0)
 
 
 def xcothx_m1_scalar(z: complex) -> complex:

@@ -121,17 +121,20 @@ def positivity_delta(d: DiffusionConstants) -> PositivityReport:
 
 def _delta_dimensionless(ratio, theta, hbar: float, kB: float) -> np.ndarray:
     """Delta/(hbar*gamma)^2 at omega0/gamma = ratio, kB*T/(hbar*gamma) = theta,
-    on 1-D arrays of equal length."""
+    on arrays that broadcast against each other.  A (rows, 1) ratio against
+    theta of shape (1, k) or (rows, k) computes the decay rates once per row."""
     p = SystemParams(omega0=ratio, T=theta * hbar / kB, gamma=1.0, M=1.0, hbar=hbar, kB=kB)
     return positivity_delta(diffusion_constants(p)).delta / (hbar * hbar)
 
 
-def _delta_blocks(ratio: np.ndarray, theta: np.ndarray, hbar: float, kB: float) -> np.ndarray:
-    """_delta_dimensionless, _TC_BLOCK elements per evaluation."""
-    out = np.empty(ratio.size)
-    for start in range(0, ratio.size, _TC_BLOCK):
-        block = slice(start, start + _TC_BLOCK)
-        out[block] = _delta_dimensionless(ratio[block], theta[block], hbar, kB)
+def _delta_rows(ratio: np.ndarray, theta: np.ndarray, hbar: float, kB: float) -> np.ndarray:
+    """_delta_dimensionless of each ratio (n,) against its row of theta (n, k),
+    about _TC_BLOCK elements per evaluation."""
+    out = np.empty(theta.shape)
+    rows = max(1, _TC_BLOCK // theta.shape[1])
+    for start in range(0, ratio.size, rows):
+        block = slice(start, start + rows)
+        out[block] = _delta_dimensionless(ratio[block, None], theta[block], hbar, kB)
     return out
 
 
@@ -153,6 +156,8 @@ def breakdown_temperature(
     array of the same shape, a scalar ratio gives a float.  All ratios share
     one blocked scan and one bisection that moves them in lockstep, each with
     its own stopping rule, so every T_c equals that of a solve on its own.
+    Each Delta evaluation of the bisection serves two levels: it takes every
+    ratio's midpoint and both midpoints the next level can reach.
     """
     ratios = np.asarray(omega0_over_gamma, dtype=float)
     if not np.all((ratios > 0.0) & (ratios < math.inf)):
@@ -166,8 +171,7 @@ def breakdown_temperature(
     rows = max(1, _TC_BLOCK // scan_points)
     for start in range(0, r.size, rows):
         block = r[start:start + rows]
-        deltas = _delta_blocks(np.repeat(block, scan_points), np.tile(thetas, block.size),
-                               hbar, kB).reshape(block.size, scan_points)
+        deltas = _delta_dimensionless(block[:, None], thetas, hbar, kB)
         crosses = (deltas[:, :-1] == 0.0) | (deltas[:, :-1] * deltas[:, 1:] < 0.0)
         counts = np.count_nonzero(crosses, axis=1)
         bad = np.flatnonzero(counts != 1)
@@ -183,38 +187,49 @@ def breakdown_temperature(
         flo[start:start + rows] = deltas[np.arange(block.size), first]
 
     lo, hi = thetas[i], thetas[i + 1]
-    # every iteration evaluates all ratios, finished ones included (they
-    # finish within an iteration or two of each other), so the arrays keep
-    # one size; see core.xcothx_m1 on numpy's small-buffer cache
+    # every level evaluates all ratios, finished ones included (they finish
+    # within a level or two of each other), so the arrays keep one size; see
+    # core.xcothx_m1 on numpy's small-buffer cache
     tc = np.zeros(r.size)
     exact = np.zeros(r.size, dtype=bool)    # Delta(mid) == 0 ended the search
     active = np.ones(r.size, dtype=bool)
     steps = np.zeros(r.size, dtype=int)
-    for _ in range(200):
+    calls = 0
+    for level in range(200):
         active &= ~(hi - lo <= rtol * lo)
         if not active.any():
             break
         mid = np.sqrt(lo * hi)
-        fmid = _delta_blocks(r, mid, hbar, kB)
+        if level % 2 == 0:
+            # the next level's midpoint is sqrt(lo*mid) or sqrt(mid*hi),
+            # the very product it forms once lo or hi has moved to mid
+            f = _delta_rows(r, np.stack((mid, np.sqrt(lo * mid), np.sqrt(mid * hi)), axis=1),
+                            hbar, kB)
+            calls += 1
+            fmid = f[:, 0]
+        else:
+            fmid = np.where(right, f[:, 2], f[:, 1])
         steps += active
         hit = active & (fmid == 0.0)
         tc = np.where(hit, mid, tc)
         exact |= hit
         active &= ~hit
         same = (fmid < 0.0) == (flo < 0.0)
-        lo = np.where(active & same, mid, lo)
-        flo = np.where(active & same, fmid, flo)
+        right = active & same
+        lo = np.where(right, mid, lo)
+        flo = np.where(right, fmid, flo)
         hi = np.where(active & ~same, mid, hi)
     tc = np.where(exact, tc, np.sqrt(lo * hi))
 
     if logger.isEnabledFor(logging.DEBUG):
-        # every ratio is evaluated at every scan point and lockstep iteration
+        # every ratio is evaluated at every scan point and at three
+        # midpoints per bisection call
         lockstep = int(steps.max(initial=0))
         critical = np.count_nonzero(SystemParams(omega0=r, T=1.0).is_critical())
         logger.debug("T_c of %d ratios: scan crossing index %s, bisection iterations %s "
-                     "(%d in lockstep), %d critical-nudged elements",
-                     r.size, i.tolist(), steps.tolist(), lockstep,
-                     critical * (scan_points + lockstep))
+                     "(%d in lockstep, %d Delta calls), %d critical-nudged elements",
+                     r.size, i.tolist(), steps.tolist(), lockstep, calls,
+                     critical * (scan_points + 3 * calls))
     return float(tc[0]) if ratios.ndim == 0 else tc.reshape(ratios.shape)
 
 

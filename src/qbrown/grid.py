@@ -101,13 +101,13 @@ class DensityGrid:
             meta += (f" M={params.M:g} omega0={params.omega0:g} gamma={params.gamma:g}"
                      f" T={params.T:g} omega_c={params.omega_c:g}"
                      f" hbar={params.hbar:g} kB={params.kB:g}")
-        f.write(meta + "\r\n")
-        f.write("x,y,re,im\r\n")
-        for i, xi in enumerate(self.x):
-            row = self.values[i]
-            for j, xj in enumerate(self.x):
-                f.write(",".join(CSV_FLOAT_FMT % v
-                                 for v in (xi, xj, row[j].real, row[j].imag)) + "\r\n")
+        template = ",".join([CSV_FLOAT_FMT] * 4) + "\r\n"
+        x = self.x.tolist()
+        body = "".join([template % (xi, xj, re, im)
+                        for xi, res, ims in zip(x, self.values.real.tolist(),
+                                                self.values.imag.tolist())
+                        for xj, re, im in zip(x, res, ims)])
+        f.write(meta + "\r\nx,y,re,im\r\n" + body)
 
 
 def gaussian_state(m: MomentState, N: int = 256, L: float = 0.0,

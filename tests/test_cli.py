@@ -1,6 +1,7 @@
 """CLI surface: subcommands, CSV format, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import logging
 import math
@@ -16,7 +17,7 @@ import pytest
 from qbrown import cli, selftest
 from qbrown.cli import COLUMNS, build_parser, main
 from qbrown.coefficients import alpha_pair
-from qbrown.core import SystemParams
+from qbrown.core import StateError, SystemParams
 from qbrown.diffusion import diffusion_constants, positivity_delta
 from qbrown.grid import BoundaryMassWarning
 
@@ -418,6 +419,33 @@ class TestEmission:
         assert capsys.readouterr().out == ""
 
 
+class TestGoldenBytes:
+    """SHA-256 of whole CSV files, recorded before the alpha kernel took real
+    arithmetic wherever a value is real: the kernel must not move one bit of
+    them.  libm's exp and pow round the last digit, so the digests hold for
+    the glibc x86-64 build they were taken on."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["tc-curve", "--omega0-over-gamma", "0.001:100", "--points", "200"],
+         "aa80cf6c722a47263c034dac9cedecab11dd12365d3bd904afb7c96ff258a8d6"),
+        (["coeffs", "--omega0", "2", "--sweep", "T=0.01:1000:log", "--points", "101"],
+         "79b069214bde146a6b7083b8f649d6dccf69d0880c40a845b56ad161dd7ee374"),
+        (["coeffs", "--omega0", "2", "--omega-c", "30", "--sweep", "T=0.01:1000:log",
+          "--points", "101"],
+         "131f9b884a1152656c9df6efcf0bc47c1dec128c6307506839ed93d3168cc453"),
+        (["diffusion", "--omega0", "0.5", "--sweep", "T=0.01:1000:log", "--points", "101"],
+         "7d53d97453a145ed3c87e01e93ed5bc3dc644e766cfff3fa70c0780ef0d9c6d9"),
+        (["diffusion", "--omega0", "0.5", "--omega-c", "30", "--sweep", "T=0.01:1000:log",
+          "--points", "101"],
+         "b85cf88e13c7f7f79166c9fc7cec24cc1a38fb8a66f20843015b73ab8007b649"),
+    ])
+    def test_sha256(self, argv, digest, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     @pytest.mark.parametrize("argv, flag", [
@@ -431,6 +459,30 @@ class TestUnwritableOutput:
         assert code == 1
         assert err.startswith(f"qbrown: configuration error: {flag}: cannot write ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_snapshot_fails_before_the_evolution(self, where, monkeypatch, capsys, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("grid evolved before --snapshot-out was opened")
+
+        monkeypatch.setattr(cli, "grid_evolve", never)
+        path = tmp_path / "no-such-dir" / "x.csv" if where == "missing-directory" else tmp_path
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(GRID_SMALL + ["--out", str(out), "--snapshot-out", str(path)],
+                               capsys)
+        assert code == 1
+        assert err.startswith("qbrown: configuration error: --snapshot-out: cannot write ")
+        assert not out.exists()
+
+    def test_failed_run_removes_the_snapshot(self, monkeypatch, capsys, tmp_path):
+        def fail(*args, **kwargs):
+            raise StateError("grid failed")
+
+        monkeypatch.setattr(cli, "grid_evolve", fail)
+        snap = tmp_path / "rho.csv"
+        code, _, err = run_cli(GRID_SMALL + ["--snapshot-out", str(snap)], capsys)
+        assert code == 2 and "StateError: grid failed" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParserReuse:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbrown.coefficients import (
     alpha_arrays,
@@ -177,6 +179,95 @@ class TestBatchedKernel:
             alpha_pair(SystemParams(omega0=math.pi, T=0.5, gamma=1e-13))
         with pytest.raises(PoleError):
             alpha_arrays(SystemParams(omega0=np.array([2.0, math.pi]), T=0.5, gamma=1e-13))
+
+
+def _exp10(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+def _omega0(kind, g, u):
+    """omega0 of each kind of system at gamma = g, from u in [0, 1]."""
+    if kind == "overdamped":
+        return g * 10.0 ** (-4.0 + 4.0 * u)
+    if kind == "underdamped":
+        return g * 10.0 ** (3.0 * u)
+    if kind == "critical":               # inside CRITICAL_TOL: the nudged average
+        return g * (1.0 + (2.0 * u - 1.0) * 1e-9)
+    if kind == "near-critical":          # just outside it, either side
+        return g * (1.0 + (1.0 if u < 0.5 else -1.0) * 10.0 ** (-8.0 + 12.0 * abs(u - 0.5)))
+    if kind == "zero":
+        return 0.0
+    return 10.0 ** (-300.0 + 218.0 * u)  # lambda1^2 underflows
+
+
+def _systems(T):
+    """Lists of (omega0, T, gamma, omega_c, hbar, kB), every kind of system,
+    finite and infinite cutoffs."""
+    kinds = st.sampled_from(["overdamped", "underdamped", "critical", "near-critical",
+                             "zero", "lambda1-underflow"])
+    one = st.tuples(kinds, _exp10(-3, 3), st.floats(0.0, 1.0), T,
+                    st.one_of(st.just(math.inf), _exp10(-1, 4)), _exp10(-1, 1), _exp10(-1, 1))
+    return st.lists(one, min_size=1, max_size=24).map(
+        lambda rows: [(_omega0(k, g, u), T, g, wc, h, kB) for k, g, u, T, wc, h, kB in rows])
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestKernelIdentity:
+    """``alpha_arrays`` (real arithmetic wherever a value is real) against
+    ``alpha_scalar`` (Python ``complex`` throughout), element by element."""
+
+    @given(_systems(_exp10(-6, 6)))
+    @settings(max_examples=150, deadline=None)
+    def test_flat_batch_equals_scalar_bit_for_bit(self, systems):
+        w, T, g, wc, hbar, kB = (np.array(c) for c in zip(*systems))
+        ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar, kB=kB))
+        for i, system in enumerate(systems):
+            a, ap, residual = alpha_scalar(*system)
+            assert (_bits(ab.alpha[i]), _bits(ab.alpha_prime[i])) == (_bits(a), _bits(ap)), i
+            assert residual == ab.residual_imag[i] == 0.0
+
+    @given(ratios=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           kind=st.sampled_from(["overdamped", "underdamped", "critical", "near-critical",
+                                 "zero", "lambda1-underflow"]),
+           g=_exp10(-3, 3), Ts=st.lists(_exp10(-6, 6), min_size=1, max_size=6),
+           wc=st.one_of(st.just(math.inf), _exp10(-1, 4)), hbar=_exp10(-1, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_broadcast_batch_equals_scalar_bit_for_bit(self, ratios, kind, g, Ts, wc, hbar):
+        # the shape the T_c scan passes: (n, 1) systems against (1, m) temperatures
+        w = np.array([_omega0(kind, g, u) for u in ratios])[:, None]
+        T = np.array(Ts)[None, :]
+        ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar))
+        assert ab.alpha.shape == ab.residual_imag.shape == (len(ratios), len(Ts))
+        assert ab.alpha.flags.c_contiguous and ab.alpha_prime.flags.c_contiguous
+        for i, j in np.ndindex(ab.alpha.shape):
+            a, ap, residual = alpha_scalar(w[i, 0], T[0, j], g, wc, hbar, 1.0)
+            assert (_bits(ab.alpha[i, j]), _bits(ab.alpha_prime[i, j])) == (_bits(a), _bits(ap))
+            assert residual == ab.residual_imag[i, j] == 0.0
+
+    @given(_systems(_exp10(-321, -280)))
+    @settings(max_examples=100, deadline=None)
+    def test_subnormal_temperature_status_matches_scalar(self, systems):
+        # near T = 0 the coth arguments overflow: the array path may give inf
+        # where Python's complex arithmetic gives NaN or raises, but a value
+        # is finite on one path exactly where it is on the other, and then equal
+        w, T, g, wc, hbar, kB = (np.array(c) for c in zip(*systems))
+        with np.errstate(all="ignore"):
+            ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar, kB=kB))
+        for i, system in enumerate(systems):
+            got = (ab.alpha[i], ab.alpha_prime[i])
+            try:
+                want = alpha_scalar(*system)[:2]
+            except (ArithmeticError, ValueError):  # 2 kB T underflows, or exp(nan)
+                assert not np.all(np.isfinite(got)), i
+                assert np.isnan(ab.residual_imag[i])
+                continue
+            assert [math.isfinite(v) for v in got] == [math.isfinite(v) for v in want], i
+            assert [_bits(v) for v in got if math.isfinite(v)] == [
+                _bits(v) for v in want if math.isfinite(v)]
+            assert (ab.residual_imag[i] == 0.0) == all(math.isfinite(v) for v in got)
 
 
 def _mp_closed_forms(mp, w, T, g, wc):

@@ -302,8 +302,11 @@ class TestBatchedSolver:
         msg = rec.getMessage()
         assert "T_c of 2 ratios" in msg and "scan crossing index" in msg
         assert "bisection iterations" in msg
-        # only omega0/gamma = 1 is critical: its 200 scan points and every
-        # lockstep iteration went through the nudge
+        # only omega0/gamma = 1 is critical: its 200 scan points and the three
+        # midpoints of every Delta call went through the nudge; one call
+        # serves two lockstep levels
         lockstep = int(msg.split(" in lockstep")[0].split("(")[-1])
+        calls = int(msg.split(" Delta calls")[0].split(", ")[-1])
         assert lockstep > 20
-        assert f"{200 + lockstep} critical-nudged elements" in msg
+        assert calls == (lockstep + 1) // 2
+        assert f"{200 + 3 * calls} critical-nudged elements" in msg

@@ -478,3 +478,23 @@ class TestSnapshotCsv:
         x, y, re, im = (float(v) for v in lines[2].split(","))
         assert (x, y) == (g.x[0], g.x[0])
         assert re == g.values[0, 0].real and im == g.values[0, 0].imag
+
+    def test_bytes_match_per_value_join(self):
+        # the row template writes what one "%.17g" per value wrote, including
+        # -0.0 and exponents near +-300 put into the grid by hand
+        g = gaussian_state(MomentState(1.0, 1.0, 0.2), N=12)
+        g.values[0, 1] = complex(-0.0, 1e-300)
+        g.values[2, 3] = complex(5e-324, -0.0)
+        g.values[4, 5] = complex(-1.7976931348623157e308, 2.5e300)
+        g.t = 0.1
+        buf = io.StringIO()
+        g.write_csv(buf, params=P)
+        rows = []
+        for i, xi in enumerate(g.x):
+            for j, xj in enumerate(g.x):
+                v = g.values[i, j]
+                rows.append(",".join("%.17g" % c for c in (xi, xj, v.real, v.imag)) + "\r\n")
+        lines = buf.getvalue().split("\r\n")
+        assert buf.getvalue() == "\r\n".join(lines[:2]) + "\r\n" + "".join(rows)
+        assert lines[0] == ("# N=12 L=8 t=0.10000000000000001 M=1 omega0=2 gamma=1 T=2 "
+                            "omega_c=inf hbar=1 kB=1")
