@@ -243,5 +243,8 @@ def xcothx_m1_scalar(z: complex) -> complex:
     k = round(w.imag / math.pi)
     if k != 0 and math.hypot(w.real, w.imag - k * math.pi) < _POLE_TOL:
         raise PoleError(f"argument {w} lies within {_POLE_TOL} of the pole {k}*i*pi")
-    e = cmath.exp(-2.0 * w)  # |e| <= 1, never overflows
+    try:
+        e = cmath.exp(-2.0 * w)  # |e| <= 1, never overflows
+    except ValueError:  # 2 w.imag overflowed under a finite 2 w.real; NaN, as numpy gives
+        return complex(math.nan, math.nan)
     return w * (1.0 + e) / (1.0 - e) - 1.0

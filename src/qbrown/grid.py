@@ -7,7 +7,11 @@ integrating-factor RK4 (Lawson, SIAM J. Numer. Anal. 4, 372 (1967); Hochbruck
 & Ostermann, Acta Numerica 19, 209 (2010)): the stiff pointwise potential +
 decoherence factor P(x, y) = -i(M omega0^2/2 hbar)(x^2 - y^2)
 - (Dpp/hbar^2)(x - y)^2 is applied exactly as exp(P dt/2), and RK4 steps only
-the stencil terms, so the step size is bounded by their spectrum alone.
+the stencil terms, so the step size is bounded by their spectrum alone.  That
+spectrum is bounded through the numerical range: the kinetic stencil is
+anti-hermitian and the position-diffusion stencil hermitian, so their sum's
+numerical range lies in the disk whose radius is the hypot of their norms,
+and the friction + anomalous stencil widens it by its norm (_radius_bound).
 
 The discretization is built so that the discrete trace is conserved exactly
 (up to roundoff and boundary leakage): P and every multiplicative term vanish
@@ -51,7 +55,8 @@ _MIN_BAND = 5
 _SAMPLE_CHUNK = 4096
 # max_k |16 sin k - 2 sin 2k|, reached at cos k = 1 - sqrt(3/2)
 _D1_SYMBOL_MAX = 4.0 * math.sqrt(1.0 - (1.0 - math.sqrt(1.5)) ** 2) * (3.0 + math.sqrt(1.5))
-# dt * R, below the radius 2.61 of the left half-disk inside RK4's stability region
+# dt * R: a disk radius, below the radius 2.61 of the left half-disk inside
+# RK4's stability region
 _LAWSON_CFL = 2.5
 
 
@@ -144,32 +149,46 @@ def gaussian_state(m: MomentState, N: int = 256, L: float = 0.0,
 
 
 def _radius_bound(dx: float, K: int, p: SystemParams, d: DiffusionConstants) -> float:
-    """R: an upper bound on the spectral radius of the stencil terms that
-    Lawson RK4 steps explicitly on the band |x - y| <= K dx, as the sum of
-    their operator-norm bounds.
+    """R: an upper bound on the numerical radius, and so on the spectral
+    radius, of the stencil terms that Lawson RK4 steps explicitly on the
+    band |x - y| <= K dx.
 
     With s = max_k |16 sin k - 2 sin 2k| (the symbol of the unscaled 4th-order
-    first-derivative stencil) and |ca| = |cb| = |2i Dpq/hbar -+ gamma|:
-      kinetic            (hbar/2M) * 64/(12 dx^2)
-      friction+anomalous K dx (|ca| + |cb|) * s/(12 dx)
-      position diffusion |Dqq| (2 s/(12 dx))^2
-    Zeroing the cells off the grid or off the band is a projection, so it
-    adds nothing.
+    first-derivative stencil) and |ca| = |cb| = |2i Dpq/hbar -+ gamma|, the
+    operator norms are
+      kinetic            c_kin  = (hbar/2M) * 64/(12 dx^2)
+      friction+anomalous c_fric = K dx (|ca| + |cb|) * s/(12 dx)
+      position diffusion c_dqq  = |Dqq| (2 s/(12 dx))^2
+    Zeroing the cells off the grid or off the band is a projection P, so it
+    adds nothing to a norm.  The kinetic term is P (i S) P with S a real
+    symmetric stencil, so it is anti-hermitian and its numerical range lies
+    in i[-c_kin, c_kin]; the position-diffusion term is Dqq (P D P)^2 with
+    D = d1x + d1y a real antisymmetric stencil, so it is hermitian and its
+    numerical range lies in [-c_dqq, c_dqq].  <v, (kin + Dqq) v> is then
+    i a + b with |a| <= c_kin and |b| <= c_dqq, so their sum's numerical
+    radius is at most hypot(c_kin, c_dqq); the friction + anomalous term
+    adds at most its norm, and every eigenvalue lies within the numerical
+    radius.
     """
     c_kin = p.hbar / (2.0 * p.M) * 64.0 / (12.0 * dx * dx)
     d1 = _D1_SYMBOL_MAX / (12.0 * dx)
     c_fric = K * dx * 2.0 * math.hypot(2.0 * d.Dpq / p.hbar, p.gamma) * d1
     c_dqq = abs(d.Dqq) * (2.0 * d1) ** 2
-    return c_kin + c_fric + c_dqq
+    return math.hypot(c_kin, c_dqq) + c_fric
 
 
 def stable_dt(g: DensityGrid, p: SystemParams, d: DiffusionConstants) -> float:
-    """Largest step that is stable on the whole N x N grid, 2.5/R with R the
-    stencil bound at K = N - 1 (max |x - y| = 2L): dt*|lambda| <= 2.5 for
-    every eigenvalue lambda of the explicitly stepped part, inside the radius
-    2.61 to which RK4's stability region fills the left half-plane (2.83 on
-    the imaginary axis, 2.79 on the negative real one).  evolve() steps a
-    narrower band and takes the larger step of plan_steps()."""
+    """Largest step the bound allows on the whole N x N grid, 2.5/R with R
+    the stencil bound at K = N - 1 (max |x - y| = 2L), so that
+    dt*|lambda| <= 2.5 for every eigenvalue lambda of the explicitly stepped
+    part.  The 2.5 is the radius of a disk that holds every dt*lambda, not a
+    fit to the shape of RK4's stability region: the left half of the disk
+    lies inside the radius 2.61 to which that region fills the left
+    half-plane (2.83 on the imaginary axis, 2.79 on the negative real one).
+    The band operators also have eigenvalues with a positive real part;
+    those modes grow under the stencil terms' own flow too, and the disk keeps
+    dt*lambda small for them.  evolve() steps a narrower band and takes the
+    larger step of plan_steps()."""
     return _LAWSON_CFL / _radius_bound(g.dx, g.N - 1, p, d)
 
 
@@ -557,8 +576,9 @@ class StepPlan(NamedTuple):
 def plan_steps(g: DensityGrid, p: SystemParams, d: DiffusionConstants, t_end: float,
                dt: Optional[float] = None) -> StepPlan:
     """The band K of _band_width, and (steps, dt) to t_end: dt defaults to
-    the band's stability bound 2.5/R and is adjusted down so the steps land
-    exactly on t_end.  A given dt above the bound raises StabilityError."""
+    the band's stability bound 2.5/R, with R the numerical-radius bound of
+    _radius_bound at K, and is adjusted down so the steps land exactly on
+    t_end.  A given dt above the bound raises StabilityError."""
     K = _band_width(g, p, d, t_end)
     limit = _LAWSON_CFL / _radius_bound(g.dx, K, p, d)
     if dt is None:

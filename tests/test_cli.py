@@ -247,6 +247,18 @@ class TestMomentsCmd:
         assert "numerical failure: ZeroDivisionError" in err
         assert out == ""
 
+    def test_overflowed_kernel_phase_is_numerical_failure(self, capsys):
+        # hbar/(2 kB T) overflows, so exp(-2w) in the one-system x*coth(x)
+        # kernel has an infinite phase: non-finite coefficients, exit 2, not
+        # a ValueError traceback
+        code, out, err = run_cli(
+            ["moments", "--points", "3", "--omega0", "7.612307035266722",
+             "--gamma", "0.01601674243681294", "--T", "5.785746136932585e-309",
+             "--hbar", "0.2815474720212982", "--kB", "1.0485253050864642"], capsys)
+        assert code == 2
+        assert "numerical failure" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestFreeParticleCmd:
     def test_table(self, capsys):

@@ -14,6 +14,7 @@ from qbrown.core import (
     decay_rates,
     xcothx,
     xcothx_m1,
+    xcothx_m1_scalar,
 )
 
 # positive scales spanning the regimes the solver meets in practice
@@ -196,6 +197,16 @@ class TestXCothX:
         assert got.tolist() == [xcothx_m1(complex(z)) for z in zs]
         assert type(xcothx_m1(0.5)) is complex
         assert xcothx_m1(zs.reshape(2, 4)).shape == (2, 4)
+
+    @pytest.mark.parametrize("z", [1 + 1e308j, -1 - 1e308j, 1e308 + 1e308j, 1e300 + 9e307j])
+    def test_overflowed_phase_matches_array(self, z):
+        # exp(-2w) of an infinite phase is NaN in numpy and a domain error
+        # in cmath; where 2 w.real overflows too, both give exp(-2w) = 0
+        want = xcothx_m1(np.array([z]))[0]
+        got = xcothx_m1_scalar(z)
+        assert cmath.isfinite(got) == cmath.isfinite(want)
+        if cmath.isfinite(want):
+            assert got == want
 
     def test_pole_rejected_in_array(self):
         with pytest.raises(PoleError):

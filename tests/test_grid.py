@@ -270,19 +270,66 @@ def spectral_radius(op, iters=400, tail=100):
     return math.exp(log_growth / tail)
 
 
+def dense_band_operator(x, p, d, K):
+    """reference_rhs as a dense matrix on the band cells |i - j| <= K, in
+    row-major cell order, and two permutations of that order: the reflection
+    through the centre (i, j) -> (N - 1 - i, N - 1 - j) and the transpose
+    (i, j) -> (j, i)."""
+    n = len(x)
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= K)
+    A = np.empty((len(i), len(i)), dtype=complex)
+    for c, (a, b) in enumerate(zip(i, j)):
+        e = np.zeros((n, n), dtype=complex)
+        e[a, b] = 1.0
+        A[:, c] = reference_rhs(e, x, p, d, K)[i, j]
+    index = np.full((n, n), -1)
+    index[i, j] = np.arange(len(i))
+    return A, index[n - 1 - i, n - 1 - j], index[j, i]
+
+
+def numerical_radius(A, mirror):
+    """max |<v, A v>| over unit v, as the largest eigenvalue of the hermitian
+    part H(theta) of e^{i theta} A over theta = 0, 1, ..., 359 degrees.
+
+    H(theta + 180) = -H(theta), and, where A maps u^dagger to (A u)^dagger,
+    H(-theta) is the complex conjugate of H(theta) with its cells transposed,
+    so both ends of the spectra at theta = 0, 1, ..., 90 degrees cover every
+    angle.  A commutes with the fixed-point-free involution mirror, so its
+    even and odd parts under it are separate blocks, A[r, r'] +- A[r, mirror r']
+    over one cell r of each pair."""
+    reps = np.flatnonzero(np.arange(len(mirror)) < mirror)
+    w = 0.0
+    for sign in (1.0, -1.0):
+        block = A[np.ix_(reps, reps)] + sign * A[np.ix_(reps, mirror[reps])]
+        h1 = 0.5 * (block + block.conj().T)
+        h2 = 0.5j * (block - block.conj().T)
+        for theta in np.radians(np.arange(91)):
+            ev = np.linalg.eigvalsh(math.cos(theta) * h1 + math.sin(theta) * h2)
+            w = max(w, ev[-1], -ev[0])
+    return w
+
+
+BOUND_SYSTEMS = [
+    (dict(omega0=2.0, T=2.0), 256),               # the benchmark system
+    (dict(omega0=2.0, T=20.0), 64),               # decoherence-dominated
+    (dict(omega0=0.3, T=0.5, gamma=3.0), 96),     # overdamped, below T_c
+    (dict(omega0=5.0, T=1.0, M=2.0, hbar=0.5), 64),
+]
+
+
+def equilibrium_grid(kw, N):
+    p = SystemParams(**kw)
+    d = diffusion_constants(p)
+    eq = equilibrium_moments(p, d)
+    g = gaussian_state(eq, N=N, L=suggested_half_width(1.4 * eq.q2, p, d, N=N),
+                       hbar=p.hbar)
+    return g, p, d
+
+
 class TestLawsonStep:
-    @pytest.mark.parametrize("kw, N", [
-        (dict(omega0=2.0, T=2.0), 256),               # the benchmark system
-        (dict(omega0=2.0, T=20.0), 64),               # decoherence-dominated
-        (dict(omega0=0.3, T=0.5, gamma=3.0), 96),     # overdamped, below T_c
-        (dict(omega0=5.0, T=1.0, M=2.0, hbar=0.5), 64),
-    ])
+    @pytest.mark.parametrize("kw, N", BOUND_SYSTEMS)
     def test_bound_covers_spectral_radius(self, kw, N):
-        p = SystemParams(**kw)
-        d = diffusion_constants(p)
-        eq = equilibrium_moments(p, d)
-        g = gaussian_state(eq, N=N, L=suggested_half_width(1.4 * eq.q2, p, d, N=N),
-                           hbar=p.hbar)
+        g, p, d = equilibrium_grid(kw, N)
         # the equilibrium is stationary, so any horizon plans the same band
         n_steps, dt, K = plan_steps(g, p, d, 1.0)
         R = _radius_bound(g.dx, K, p, d)
@@ -292,6 +339,36 @@ class TestLawsonStep:
         assert dt <= 2.5 / R and (n_steps - 1) * 2.5 / R < 1.0
         assert stable_dt(g, p, d) == pytest.approx(2.5 / _radius_bound(g.dx, N - 1, p, d),
                                                    rel=1e-15)
+
+    @pytest.mark.parametrize("kw", [kw for kw, _ in BOUND_SYSTEMS])
+    def test_bound_covers_numerical_radius(self, kw):
+        # R = hypot(kinetic, Dqq) + friction bounds the numerical radius, not
+        # only the spectral radius, and is no looser than the sum of the
+        # three operator norms it replaced
+        g, p, d = equilibrium_grid(kw, 32)
+        K = plan_steps(g, p, d, 1.0).K
+        A, mirror, transpose = dense_band_operator(g.x, p, d, K)
+        # the symmetries numerical_radius relies on
+        scale = np.abs(A).max()
+        assert np.abs(A[np.ix_(mirror, mirror)] - A).max() <= 1e-12 * scale
+        assert np.abs(A[np.ix_(transpose, transpose)] - A.conj()).max() <= 1e-12 * scale
+        w = numerical_radius(A, mirror)
+        R = _radius_bound(g.dx, K, p, d)
+        d1 = grid._D1_SYMBOL_MAX / (12.0 * g.dx)
+        norm_sum = (p.hbar / (2.0 * p.M) * 64.0 / (12.0 * g.dx ** 2)
+                    + K * g.dx * 2.0 * math.hypot(2.0 * d.Dpq / p.hbar, p.gamma) * d1
+                    + abs(d.Dqq) * (2.0 * d1) ** 2)
+        assert w <= R <= norm_sum
+
+    @pytest.mark.parametrize("t_end, most", [
+        (0.075, 30),    # the benchmark's grid-validate run
+        (3.0, 1190),    # acceptance criterion 8
+    ])
+    def test_step_plan_pins(self, t_end, most):
+        # the displaced state and the half-width grid-validate picks, at N = 256
+        m = displaced()
+        g = gaussian_state(m, N=256, L=suggested_half_width(1.05 * max(m.q2, EQ.q2), P, D))
+        assert plan_steps(g, P, D, t_end).steps <= most
 
     def test_rhs_matches_full_grid_reference(self):
         # two rhs passes from a rough hermitian start, so any value left in
