@@ -462,6 +462,10 @@ def _run_moments(cfg: RunConfig) -> int:
     t_end, dt = _nonnegative_option(cfg, "t_end"), _nonnegative_option(cfg, "dt")
     p = cfg.params()
     d = diffusion_constants(p)
+    # non-finite constants give non-finite rows; fail before the RK4 loop
+    for name, v in (("Dpp", d.Dpp), ("Dqq", d.Dqq), ("Dpq", d.Dpq)):
+        if not math.isfinite(v):
+            raise NonFiniteOutputError(f"diffusion constant {name} = {FLOAT_FMT % v}")
     s0 = MomentState(cfg.options["q2"], cfg.options["p2"], cfg.options["qp"])
     t_end = t_end or 10.0 / p.gamma
     dt = dt or 0.005 / max(p.gamma, p.omega0)

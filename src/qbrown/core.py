@@ -2,27 +2,20 @@
 
 Everything here is a pure function of its inputs; the dataclasses are frozen
 and safe to share across threads.  The kernels take numpy arrays and work
-element by element; their complex products and quotients are rounded exactly
-as Python's ``complex`` rounds them, so a batch evaluation reproduces a
-loop of scalar evaluations bit for bit.  A single value skips numpy and is
-evaluated in Python ``complex`` arithmetic, which is what the batch path
-reproduces.
+element by element in numpy's own arithmetic.  A single value is evaluated
+as a one-element array, never as a 0-d array: numpy rounds some 0-d
+operations differently from the same element of an array, so only the
+one-element form gives a batch element's bits.
 
-That emulation is kept only where a value is complex.  On a real argument
-every imaginary part in ``cmul``, ``cdiv`` and the exponential is an exact
-zero, so each real part is the real expression in the same order of
-operations; ``_xcothx_m1_real`` evaluates it in real arithmetic, with the
-complex exponential's real part (libm's ``exp``, not numpy's real one, which
-differs in the last place for a few percent of arguments).  Where a value is
-complex, its conjugate needs no second evaluation: ``cmul``, ``cdiv`` and the
-complex ``exp`` map conjugate arguments to the conjugate result bit for bit,
-since each part is the same rounded expression with signs flipped and
-rounding to nearest is odd-symmetric.
+``_xcothx_m1_real`` is the kernel of a real argument in real arithmetic.
+Where a value is complex its conjugate needs no second evaluation: numpy's
+complex product, quotient and exponential map conjugate arguments to the
+conjugate result, since each part is the same rounded expression with signs
+flipped and rounding to nearest is odd-symmetric.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -109,7 +102,7 @@ class SystemParams:
         if not _holds(self.omega_c > 0.0):
             raise ValueError("omega_c must be positive (math.inf removes the cutoff)")
         fields = (self.omega0, self.T, self.gamma, self.M, self.omega_c, self.hbar, self.kB)
-        # all Python numbers is one system, which stays on the numpy-free paths
+        # all Python numbers is one system, evaluated as one-element arrays
         scalar = all(isinstance(v, (float, int)) for v in fields)
         object.__setattr__(self, "_shape", () if scalar else np.broadcast(*fields).shape)
 
@@ -141,12 +134,18 @@ def decay_rates(omega0, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     w = np.asarray(omega0, dtype=float)
     g = np.asarray(gamma, dtype=float)
-    x = g * g - w * w
+    l1_re, om_re, om_im = _rates(w, g)
+    return (_complex(l1_re, om_im), _complex(-g - om_re, -om_im), _complex(om_re, om_im))
+
+
+def _rates(w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re lambda1 and the parts of Omega (see ``decay_rates``) as real
+    arrays; Im lambda1 = Im Omega."""
+    w2 = w * w
+    x = g * g - w2
     om_re = np.sqrt(np.maximum(x, 0.0))
-    om_im = np.sqrt(np.maximum(-x, 0.0))
-    l1_re = np.where(g >= w, -(w * w) / (g + om_re), -g)
-    l1_im = np.where(g >= w, 0.0, om_im)
-    return (_complex(l1_re, l1_im), _complex(-g - om_re, -om_im), _complex(om_re, om_im))
+    om_im = np.sqrt(np.maximum(-x, 0.0))  # 0 where gamma >= omega0, as x >= 0 there
+    return -np.where(g >= w, w2 / (g + om_re), g), om_re, om_im
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -154,25 +153,6 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out.real = re
     out.imag = im
     return out
-
-
-def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a*b as Python's complex product (numpy's may fuse a multiply-add)."""
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a/b by Smith's method in the form Python's complex quotient uses
-    (numpy's multiplies by a reciprocal instead).  Divides through by the
-    larger part of b; a zero b gives NaN, which callers mask."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_re = np.abs(br) >= np.abs(bi)
-    big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
-    x, y = np.where(by_re, ar, ai), np.where(by_re, ai, ar)
-    ratio = small / big
-    denom = big + small * ratio
-    im = (y - x * ratio) / denom
-    return _complex((x + y * ratio) / denom, np.where(by_re, im, -im))
 
 
 def xcothx(z):
@@ -192,59 +172,40 @@ def xcothx_m1(z):
     The coefficient brackets of the dissipation formulas are differences of
     this quantity at O(z^2) scale; returning the series directly keeps their
     high-temperature cancellations at full precision.  Each element takes
-    its own branch; a Python or numpy scalar returns a complex from
-    ``xcothx_m1_scalar``.
+    its own branch; a scalar is evaluated as a one-element array and returns
+    a complex.
     """
-    if isinstance(z, (complex, float, int)):
-        return xcothx_m1_scalar(complex(z))
     z = np.asarray(z, dtype=complex)
-    small = np.hypot(z.real, z.imag) < _SERIES_RADIUS
-    w = np.where(z.real < 0.0, -z, z)
-    k = np.rint(w.imag / math.pi)
-    pole = ~small & (k != 0.0) & (np.hypot(w.real, w.imag - k * math.pi) < _POLE_TOL)
-    if pole.any():
-        i = np.flatnonzero(pole)[0]
-        raise PoleError(f"argument {complex(w.flat[i])} lies within {_POLE_TOL} of the "
-                        f"pole {int(k.flat[i])}*i*pi")
+    one = z.ndim == 0
+    if one:
+        z = z.reshape(1)
     # both branches run on every element (index subsets of data-dependent
     # size would fill numpy's small-buffer cache with one size after
     # another); the branch not taken may divide by zero or overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z2 = cmul(z, z)
-        series = cmul(z2, 1.0 / 3.0 + cmul(z2, -1.0 / 45.0 + z2 * (2.0 / 945.0)))
+        small = np.abs(z) < _SERIES_RADIUS
+        w = np.where(z.real < 0.0, -z, z)
+        z2 = z * z
+        series = z2 * (1.0 / 3.0 + z2 * (-1.0 / 45.0 + z2 * (2.0 / 945.0)))
         e = np.exp(-2.0 * w)  # |e| <= 1, never overflows
-        out = np.where(small, series, cdiv(cmul(w, 1.0 + e), 1.0 - e) - 1.0)
-    return complex(out) if out.ndim == 0 else out
+        d = 1.0 - e
+        out = np.where(small, series, w * (1.0 + e) / d - 1.0)
+        # at w = i*k*pi + delta, 1 - e = 2*delta + O(delta^2): a pole for
+        # k != 0; k = 0 lies in the series disk, which holds no pole
+        pole = ~small & (np.abs(d) < 2.0 * _POLE_TOL)
+    if pole.any():
+        v = complex(w[pole][0])
+        raise PoleError(f"argument {v} lies within {_POLE_TOL} of the pole "
+                        f"{round(v.imag / math.pi)}*i*pi")
+    return complex(out[0]) if one else out
 
 
 def _xcothx_m1_real(x: np.ndarray) -> np.ndarray:
-    """xcothx_m1 of a real array, as a real array: the real part of
-    ``xcothx_m1(x)`` bit for bit wherever that is finite.  A real argument
-    has no pole.  Where x overflowed to inf this gives inf, where the complex
-    form gives NaN (its inf*0 imaginary cross terms)."""
-    small = np.abs(x) < _SERIES_RADIUS
+    """xcothx_m1 of a real array, as a real array, for callers that ignore
+    floating-point errors (the branch not taken may divide by zero or
+    overflow).  A real argument has no pole; an infinite one gives inf."""
     w = np.abs(x)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x2 = x * x
-        series = x2 * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0)))
-        e = np.exp((-2.0 * w).astype(complex)).real  # libm's exp; |e| <= 1
-        return np.where(small, series, w * (1.0 + e) / (1.0 - e) - 1.0)
-
-
-def xcothx_m1_scalar(z: complex) -> complex:
-    """xcothx_m1 of one complex number in Python ``complex`` arithmetic, with
-    the same branches and rounding as the array path."""
-    if abs(z) < _SERIES_RADIUS:
-        z2 = z * z
-        return z2 * (1.0 / 3.0 + z2 * (-1.0 / 45.0 + z2 * (2.0 / 945.0)))
-    w = -z if z.real < 0.0 else z
-    if not math.isfinite(w.imag):  # an overflowed argument; NaN, as in the array path
-        return complex(math.nan, math.nan)
-    k = round(w.imag / math.pi)
-    if k != 0 and math.hypot(w.real, w.imag - k * math.pi) < _POLE_TOL:
-        raise PoleError(f"argument {w} lies within {_POLE_TOL} of the pole {k}*i*pi")
-    try:
-        e = cmath.exp(-2.0 * w)  # |e| <= 1, never overflows
-    except ValueError:  # 2 w.imag overflowed under a finite 2 w.real; NaN, as numpy gives
-        return complex(math.nan, math.nan)
-    return w * (1.0 + e) / (1.0 - e) - 1.0
+    x2 = x * x
+    series = x2 * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0)))
+    e = np.exp(-2.0 * w)  # |e| <= 1
+    return np.where(w < _SERIES_RADIUS, series, w * (1.0 + e) / (1.0 - e) - 1.0)

@@ -99,23 +99,18 @@ def positivity_delta(d: DiffusionConstants) -> PositivityReport:
     if d.params is None:
         raise ValueError("positivity_delta needs DiffusionConstants with params attached")
     p = d.params
-    hg = p.hbar * p.gamma
-    a = d.Dpp * d.Dqq / (hg * hg)
-    if p.shape:
-        b = np.float_power(d.Dpq / hg, 2)  # libm pow, as the float ** operator rounds it
-        delta = np.where(np.maximum(np.abs(a), np.abs(b)) < 1e6,
-                         (a - b - 0.25) * hg * hg,
-                         d.Dpp * d.Dqq - d.Dpq * d.Dpq - 0.25 * hg * hg)
-    else:
-        try:
-            b = (d.Dpq / hg) ** 2
-        except OverflowError:  # np.float_power gives inf
-            b = math.inf
-        if abs(a) < 1e6 and abs(b) < 1e6:
-            delta = (a - b - 0.25) * hg * hg
-        else:
-            delta = d.Dpp * d.Dqq - d.Dpq * d.Dpq - 0.25 * hg * hg
-        delta = float(delta)
+    # one system is evaluated as one-element arrays (see core)
+    Dpp, Dqq, Dpq, hg = (np.array(v, dtype=float, ndmin=1, copy=None)
+                         for v in (d.Dpp, d.Dqq, d.Dpq, p.hbar * p.gamma))
+    pq = Dpp * Dqq
+    a = pq / (hg * hg)
+    b = Dpq / hg
+    b = b * b  # >= 0
+    delta = np.where(np.maximum(np.abs(a), b) < 1e6,
+                     (a - b - 0.25) * hg * hg,
+                     pq - Dpq * Dpq - 0.25 * hg * hg)
+    if not p.shape:
+        delta = float(delta[0])
     return PositivityReport(delta, delta > 0.0, p.T, p)
 
 

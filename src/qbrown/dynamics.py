@@ -151,8 +151,7 @@ def equilibrium_moments(p: SystemParams, d: DiffusionConstants) -> MomentState:
     if not _holds(p.omega0 > 0.0):
         raise NoEquilibriumError(
             "the free particle has no equilibrium <q^2>; use free_particle_longtime")
-    # np.float_power rounds as the float ** operator does (libm pow)
-    w2 = np.float_power(p.omega0, 2) if p.shape else p.omega0 ** 2
+    w2 = p.omega0 * p.omega0
     M, g = p.M, p.gamma
     p2 = (d.Dpp + M * M * w2 * d.Dqq) / (2.0 * g)
     q2 = (d.Dpp - 4.0 * M * g * d.Dpq + M * M * (4.0 * g * g + w2) * d.Dqq) / (

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qbrown import cli, selftest
 from qbrown.cli import COLUMNS, build_parser, main
@@ -64,16 +66,21 @@ class TestCoeffs:
         assert rows[0][0] == "omega0"
         assert float(rows[0][1]) == 0.5 and float(rows[-1][1]) == 4.0
 
-    def test_sweep_rows_match_scalar_calls(self, capsys):
-        # the whole sweep is one batch; each row equals its own scalar call,
-        # the critical omega0 = gamma row included
-        code, out, _ = run_cli(
-            ["coeffs", "--sweep", "omega0=0.5:1.5", "--points", "11", "--T", "0.7",
-             "--omega-c", "40"], capsys)
+    @given(g=st.floats(0.2, 5.0), half=st.floats(0.05, 0.9), T=st.floats(0.05, 50.0),
+           wc=st.one_of(st.just(math.inf), st.floats(2.0, 1e3)))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_sweep_rows_match_scalar_calls(self, g, half, T, wc, capsys):
+        # the whole sweep is one batch; each row equals its own scalar call:
+        # over- and underdamped rows and the critical omega0 = gamma row in
+        # the middle, at finite and infinite cutoff
+        argv = ["coeffs", "--sweep", f"omega0={g * (1 - half)!r}:{g * (1 + half)!r}",
+                "--points", "11", "--gamma", repr(g), "--T", repr(T), "--omega-c", repr(wc)]
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0
         _, _, rows = parse_csv(out)
         for r in rows:
-            ab = alpha_pair(SystemParams(omega0=float(r[1]), T=0.7, omega_c=40.0))
+            ab = alpha_pair(SystemParams(omega0=float(r[1]), T=T, gamma=g, omega_c=wc))
             assert r[2:] == ["%.17g" % v for v in (ab.alpha, ab.alpha_prime, ab.residual_imag)]
 
     def test_underflowing_omega0_gives_finite_rows(self, capsys):
@@ -237,15 +244,41 @@ class TestMomentsCmd:
         rows = parse_csv(out)[2]
         assert float(rows[-1][0]) == pytest.approx(10.0)  # 10/gamma
 
-    def test_bare_arithmetic_error_is_numerical_failure(self, capsys):
+    def test_bare_arithmetic_error_is_numerical_failure(self, capsys, monkeypatch):
         # gamma^2 - omega0^2 underflows, so alpha' divides by (lambda2 - lambda1)^2
-        # = 0: a ZeroDivisionError, reported as exit 2, not as a traceback and
-        # Python's exit 1
+        # = 0: NaN coefficients, reported as exit 2, not as a traceback
         code, out, err = run_cli(["moments", "--gamma", "1e-170", "--omega0", "2e-170",
                                   "--t-end", "0.1"], capsys)
         assert code == 2
-        assert "numerical failure: ZeroDivisionError" in err
+        assert "numerical failure" in err and "Traceback" not in err
         assert out == ""
+        # a bare ArithmeticError from a runner is a numerical failure too,
+        # not Python's exit 1 (free-particle's polyfit raises one for real,
+        # see TestFreeParticleCmd)
+        def divide_by_zero(cfg):
+            return 1.0 / 0.0
+
+        monkeypatch.setitem(cli._RUNNERS, "moments", divide_by_zero)
+        code, out, err = run_cli(["moments"], capsys)
+        assert code == 2
+        assert "numerical failure: ZeroDivisionError" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--gamma", "1e-170", "--omega0", "2e-170", "--t-end", "0.1"],
+        ["--points", "3", "--omega0", "7.612307035266722", "--gamma", "0.01601674243681294",
+         "--T", "5.785746136932585e-309", "--hbar", "0.2815474720212982",
+         "--kB", "1.0485253050864642"],
+    ])
+    def test_nonfinite_constants_fail_before_integrating(self, argv, capsys, monkeypatch):
+        # non-finite diffusion constants exit 2 without running the RK4 loop
+        calls = []
+        monkeypatch.setattr(cli, "evolve_numeric", lambda *a, **kw: calls.append(a))
+        code, out, err = run_cli(["moments"] + argv, capsys)
+        assert calls == []
+        assert code == 2
+        assert "numerical failure: NonFiniteOutputError: diffusion constant" in err
+        assert "Traceback" not in err and out == ""
 
     def test_overflowed_kernel_phase_is_numerical_failure(self, capsys):
         # hbar/(2 kB T) overflows, so exp(-2w) in the one-system x*coth(x)
@@ -432,24 +465,27 @@ class TestEmission:
 
 
 class TestGoldenBytes:
-    """SHA-256 of whole CSV files, recorded before the alpha kernel took real
-    arithmetic wherever a value is real: the kernel must not move one bit of
-    them.  libm's exp and pow round the last digit, so the digests hold for
-    the glibc x86-64 build they were taken on."""
+    """SHA-256 of whole CSV files.  The tc-curve digest predates the kernel's
+    move to real and then to numpy's own arithmetic, neither of which moved
+    one bit of it.  The coeffs and diffusion digests were re-derived at that
+    second move, after every row that changed had matched an mpmath
+    evaluation of the closed forms to 1e-10.  numpy's exp and complex loops
+    round the last digit, so the digests hold for the numpy build and x86-64
+    CPU they were taken on."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["tc-curve", "--omega0-over-gamma", "0.001:100", "--points", "200"],
          "aa80cf6c722a47263c034dac9cedecab11dd12365d3bd904afb7c96ff258a8d6"),
         (["coeffs", "--omega0", "2", "--sweep", "T=0.01:1000:log", "--points", "101"],
-         "79b069214bde146a6b7083b8f649d6dccf69d0880c40a845b56ad161dd7ee374"),
+         "273bead40495a628b99d7f29feb33d8bc75fa315df231d2746cf10ab34f68702"),
         (["coeffs", "--omega0", "2", "--omega-c", "30", "--sweep", "T=0.01:1000:log",
           "--points", "101"],
-         "131f9b884a1152656c9df6efcf0bc47c1dec128c6307506839ed93d3168cc453"),
+         "cb7c48a6161165645c39c749dce1af3d4dacdcf5ab02ed0dc1ecad3fb75d2ff3"),
         (["diffusion", "--omega0", "0.5", "--sweep", "T=0.01:1000:log", "--points", "101"],
-         "7d53d97453a145ed3c87e01e93ed5bc3dc644e766cfff3fa70c0780ef0d9c6d9"),
+         "567ea078ef390daeecfba648e3201ad94570da6dcea3a434a3f497c203778116"),
         (["diffusion", "--omega0", "0.5", "--omega-c", "30", "--sweep", "T=0.01:1000:log",
           "--points", "101"],
-         "b85cf88e13c7f7f79166c9fc7cec24cc1a38fb8a66f20843015b73ab8007b649"),
+         "f7b9b4bc6c4464b8dac48b147c6eb2bc7a7f106ea0165b60b669a81ccf9a2f97"),
     ])
     def test_sha256(self, argv, digest, capsys, tmp_path):
         out = tmp_path / "out.csv"

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrown.coefficients import (
-    alpha_arrays,
-    alpha_pair,
-    alpha_prime_free,
-    alpha_scalar,
-)
+from qbrown.coefficients import alpha_arrays, alpha_pair, alpha_prime_free
 from qbrown.core import PoleError, SystemParams, TemperatureError, xcothx
 from qbrown.diffusion import diffusion_constants, positivity_delta
 from qbrown.selftest import PINNED_ALPHA, PINNED_ALPHA_PRIME
@@ -142,6 +137,8 @@ class TestAlphaPrimeFree:
 
 class TestBatchedKernel:
     def test_reproduces_scalar_complex_arithmetic_bit_for_bit(self):
+        # each element of a random batch against its scalar (one-system)
+        # alpha_pair call, complex arithmetic in the lambda1 bracket included
         rng = np.random.default_rng(99)
         n = 400
         g = 10.0 ** rng.uniform(-1, 1, n)
@@ -155,9 +152,12 @@ class TestBatchedKernel:
         ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar, kB=kB))
         assert np.all(np.isfinite(ab.alpha)) and np.all(np.isfinite(ab.alpha_prime))
         for i in range(n):
-            want = alpha_scalar(w[i], T[i], g[i], wc[i], hbar[i], kB[i])
-            assert (ab.alpha[i], ab.alpha_prime[i], ab.residual_imag[i]) == want, i
-            assert type(want[0]) is float
+            one = alpha_pair(SystemParams(omega0=float(w[i]), T=float(T[i]), gamma=float(g[i]),
+                                          omega_c=float(wc[i]), hbar=float(hbar[i]),
+                                          kB=float(kB[i])))
+            assert (one.alpha, one.alpha_prime, one.residual_imag) == (
+                ab.alpha[i], ab.alpha_prime[i], ab.residual_imag[i]), i
+            assert type(one.alpha) is float and one.residual_imag == 0.0
 
     def test_shapes_and_scalar_wrapper(self):
         p = SystemParams(omega0=np.array([0.5, 2.0]), T=np.array([[0.3], [3.0]]))
@@ -185,6 +185,9 @@ def _exp10(lo, hi):
     return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
 
 
+KINDS = ["overdamped", "underdamped", "critical", "near-critical", "zero", "lambda1-underflow"]
+
+
 def _omega0(kind, g, u):
     """omega0 of each kind of system at gamma = g, from u in [0, 1]."""
     if kind == "overdamped":
@@ -203,9 +206,7 @@ def _omega0(kind, g, u):
 def _systems(T):
     """Lists of (omega0, T, gamma, omega_c, hbar, kB), every kind of system,
     finite and infinite cutoffs."""
-    kinds = st.sampled_from(["overdamped", "underdamped", "critical", "near-critical",
-                             "zero", "lambda1-underflow"])
-    one = st.tuples(kinds, _exp10(-3, 3), st.floats(0.0, 1.0), T,
+    one = st.tuples(st.sampled_from(KINDS), _exp10(-3, 3), st.floats(0.0, 1.0), T,
                     st.one_of(st.just(math.inf), _exp10(-1, 4)), _exp10(-1, 1), _exp10(-1, 1))
     return st.lists(one, min_size=1, max_size=24).map(
         lambda rows: [(_omega0(k, g, u), T, g, wc, h, kB) for k, g, u, T, wc, h, kB in rows])
@@ -215,27 +216,38 @@ def _bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
-class TestKernelIdentity:
-    """``alpha_arrays`` (real arithmetic wherever a value is real) against
-    ``alpha_scalar`` (Python ``complex`` throughout), element by element."""
+def _one(system, as_numpy) -> SystemParams:
+    """One system from its six fields, as Python floats or np.float64 scalars."""
+    w, T, g, wc, hbar, kB = (np.float64(v) if as_numpy else float(v) for v in system)
+    return SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar, kB=kB)
 
-    @given(_systems(_exp10(-6, 6)))
+
+class TestKernelIdentity:
+    """A one-system ``alpha_pair`` call against its element of a batch: the
+    one system runs the batch code on one-element arrays, so they agree bit
+    for bit, whatever the batch's shape or the type of the one system's
+    fields."""
+
+    @given(_systems(_exp10(-6, 6)), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_flat_batch_equals_scalar_bit_for_bit(self, systems):
+    def test_flat_batch_equals_scalar_bit_for_bit(self, systems, as_numpy):
         w, T, g, wc, hbar, kB = (np.array(c) for c in zip(*systems))
         ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar, kB=kB))
         for i, system in enumerate(systems):
-            a, ap, residual = alpha_scalar(*system)
-            assert (_bits(ab.alpha[i]), _bits(ab.alpha_prime[i])) == (_bits(a), _bits(ap)), i
-            assert residual == ab.residual_imag[i] == 0.0
+            one = alpha_pair(_one(system, as_numpy))
+            assert type(one.alpha) is type(one.alpha_prime) is float
+            assert (_bits(one.alpha), _bits(one.alpha_prime)) == (
+                _bits(ab.alpha[i]), _bits(ab.alpha_prime[i])), i
+            assert one.residual_imag == ab.residual_imag[i] == 0.0
 
     @given(ratios=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
-           kind=st.sampled_from(["overdamped", "underdamped", "critical", "near-critical",
-                                 "zero", "lambda1-underflow"]),
+           kind=st.sampled_from(KINDS),
            g=_exp10(-3, 3), Ts=st.lists(_exp10(-6, 6), min_size=1, max_size=6),
-           wc=st.one_of(st.just(math.inf), _exp10(-1, 4)), hbar=_exp10(-1, 1))
+           wc=st.one_of(st.just(math.inf), _exp10(-1, 4)), hbar=_exp10(-1, 1),
+           as_numpy=st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_broadcast_batch_equals_scalar_bit_for_bit(self, ratios, kind, g, Ts, wc, hbar):
+    def test_broadcast_batch_equals_scalar_bit_for_bit(self, ratios, kind, g, Ts, wc, hbar,
+                                                        as_numpy):
         # the shape the T_c scan passes: (n, 1) systems against (1, m) temperatures
         w = np.array([_omega0(kind, g, u) for u in ratios])[:, None]
         T = np.array(Ts)[None, :]
@@ -243,27 +255,48 @@ class TestKernelIdentity:
         assert ab.alpha.shape == ab.residual_imag.shape == (len(ratios), len(Ts))
         assert ab.alpha.flags.c_contiguous and ab.alpha_prime.flags.c_contiguous
         for i, j in np.ndindex(ab.alpha.shape):
-            a, ap, residual = alpha_scalar(w[i, 0], T[0, j], g, wc, hbar, 1.0)
-            assert (_bits(ab.alpha[i, j]), _bits(ab.alpha_prime[i, j])) == (_bits(a), _bits(ap))
-            assert residual == ab.residual_imag[i, j] == 0.0
+            one = alpha_pair(_one((w[i, 0], T[0, j], g, wc, hbar, 1.0), as_numpy))
+            assert (_bits(one.alpha), _bits(one.alpha_prime)) == (
+                _bits(ab.alpha[i, j]), _bits(ab.alpha_prime[i, j]))
+            assert one.residual_imag == ab.residual_imag[i, j] == 0.0
+
+    @given(st.lists(st.tuples(st.sampled_from(KINDS), st.floats(0.0, 1.0)), min_size=1,
+                    max_size=3),
+           st.lists(_exp10(-1, 1), min_size=1, max_size=3),
+           st.lists(_exp10(-3, 3), min_size=1, max_size=3),
+           st.lists(st.one_of(st.just(math.inf), _exp10(-1, 4)), min_size=1, max_size=3),
+           st.permutations(range(4)))
+    @settings(max_examples=100, deadline=None)
+    def test_each_field_on_its_own_axis(self, kinds, gs, Ts, wcs, axes):
+        # omega0, gamma, T and omega_c each vary along their own axis, in
+        # any order, so every field may hold more axes than the others
+        def along(values, axis):
+            return np.array(values).reshape((-1,) + (1,) * axis)
+
+        g = along(gs, axes[1])
+        w = along([_omega0(k, 1.0, u) for k, u in kinds], axes[0]) * g
+        T, wc = along(Ts, axes[2]), along(wcs, axes[3])
+        ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc))
+        W, TT, G, WC = np.broadcast_arrays(w, T, g, wc)
+        assert ab.alpha.shape == W.shape
+        for i in np.ndindex(W.shape):
+            one = alpha_pair(SystemParams(omega0=float(W[i]), T=float(TT[i]), gamma=float(G[i]),
+                                          omega_c=float(WC[i])))
+            assert (_bits(one.alpha), _bits(one.alpha_prime)) == (
+                _bits(ab.alpha[i]), _bits(ab.alpha_prime[i])), i
 
     @given(_systems(_exp10(-321, -280)))
     @settings(max_examples=100, deadline=None)
     def test_subnormal_temperature_status_matches_scalar(self, systems):
-        # near T = 0 the coth arguments overflow: the array path may give inf
-        # where Python's complex arithmetic gives NaN or raises, but a value
-        # is finite on one path exactly where it is on the other, and then equal
+        # near T = 0 the coth arguments overflow and the coefficients may be
+        # inf or NaN; a one-system call is finite exactly where its batch
+        # element is, and then equal to it
         w, T, g, wc, hbar, kB = (np.array(c) for c in zip(*systems))
-        with np.errstate(all="ignore"):
-            ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar, kB=kB))
+        ab = alpha_arrays(SystemParams(omega0=w, T=T, gamma=g, omega_c=wc, hbar=hbar, kB=kB))
         for i, system in enumerate(systems):
             got = (ab.alpha[i], ab.alpha_prime[i])
-            try:
-                want = alpha_scalar(*system)[:2]
-            except (ArithmeticError, ValueError):  # 2 kB T underflows, or exp(nan)
-                assert not np.all(np.isfinite(got)), i
-                assert np.isnan(ab.residual_imag[i])
-                continue
+            want = alpha_pair(_one(system, False))
+            want = (want.alpha, want.alpha_prime)
             assert [math.isfinite(v) for v in got] == [math.isfinite(v) for v in want], i
             assert [_bits(v) for v in got if math.isfinite(v)] == [
                 _bits(v) for v in want if math.isfinite(v)]
@@ -302,9 +335,9 @@ def _mp_closed_forms(mp, w, T, g, wc):
 
 
 class TestHighPrecisionReference:
-    """The batched kernel against a 30-digit evaluation of the closed forms:
-    under-, over- and critically damped, omega0 = 0, finite cutoff, and
-    kB*T/(hbar*gamma) from 1e-3 to 1e3."""
+    """The kernel, as a batch and as one-system calls, against a 30-digit
+    evaluation of the closed forms: under-, over- and critically damped,
+    omega0 = 0, finite cutoff, and kB*T/(hbar*gamma) from 1e-3 to 1e3."""
 
     def test_pinned_constants(self):
         mp = pytest.importorskip("mpmath")
@@ -324,19 +357,19 @@ class TestHighPrecisionReference:
         delta = positivity_delta(d).delta
         for i in range(W.size):
             a_ref, ap_ref, delta_ref = _mp_closed_forms(mp, W[i], TT[i], g, WC[i])
-            # the two-sided nudge is accurate to ~1e-6 at critical damping: its
-            # second difference of brackets amplifies their rounding, worst
-            # (1.04e-6 in alpha') where kB*T ~ 10 hbar*gamma puts the coth
-            # arguments just past the series radius
+            # at critical damping the two-sided nudge amplifies the brackets'
+            # rounding by its second difference.  On this grid the worst error
+            # is 4.5e-7 (alpha' at kB*T ~ 10 hbar*gamma, omega_c = 60); between
+            # its temperatures it reaches 1.2e-4 in alpha' and 1.7e-4 in Delta
+            # (kB*T ~ 43 hbar*gamma, on a 25-point grid); see ROADMAP item 2
             tol = 2e-6 if W[i] == g else 1e-10
-            assert d.source.alpha[i] == pytest.approx(a_ref, rel=tol), i
-            assert d.source.alpha_prime[i] == pytest.approx(ap_ref, rel=tol), i
-            # Delta is a difference of terms of size hbar^2 gamma^2/4 and up
-            scale = max(abs(delta_ref), g * g / 4)
-            assert abs(delta[i] - delta_ref) <= tol * scale, i
-
             one = SystemParams(omega0=float(W[i]), T=float(TT[i]), gamma=g, omega_c=float(WC[i]))
             ab = alpha_pair(one)
-            assert (ab.alpha, ab.alpha_prime, ab.residual_imag) == (
-                d.source.alpha[i], d.source.alpha_prime[i], d.source.residual_imag[i])
-            assert positivity_delta(diffusion_constants(one)).delta == delta[i]
+            for a, ap in ((d.source.alpha[i], d.source.alpha_prime[i]),
+                          (ab.alpha, ab.alpha_prime)):
+                assert a == pytest.approx(a_ref, rel=tol), i
+                assert ap == pytest.approx(ap_ref, rel=tol), i
+            # Delta is a difference of terms of size hbar^2 gamma^2/4 and up
+            scale = max(abs(delta_ref), g * g / 4)
+            for got in (delta[i], positivity_delta(diffusion_constants(one)).delta):
+                assert abs(got - delta_ref) <= tol * scale, i

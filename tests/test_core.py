@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbrown.core import (
@@ -14,7 +14,6 @@ from qbrown.core import (
     decay_rates,
     xcothx,
     xcothx_m1,
-    xcothx_m1_scalar,
 )
 
 # positive scales spanning the regimes the solver meets in practice
@@ -188,22 +187,33 @@ class TestXCothX:
             assert abs(partial - target) <= 2.1 * x * x / math.pi ** 2 * 1e-6
             assert abs(partial + tail - target) <= 1e-8 * max(1.0, abs(target))
 
-    def test_array_matches_scalar_elements(self):
-        # each element takes its own branch: series, exponential, negated
-        zs = np.array([0.0, 1e-4, 3e-3 - 4e-3j, 0.5, -2.0 + 0.3j, 1e-2, 40.0 - 700.0j,
-                       -700.0 + 40000.0j])
-        got = xcothx_m1(zs)
-        assert got.shape == zs.shape and got.dtype == complex
-        assert got.tolist() == [xcothx_m1(complex(z)) for z in zs]
-        assert type(xcothx_m1(0.5)) is complex
-        assert xcothx_m1(zs.reshape(2, 4)).shape == (2, 4)
+    @given(st.lists(st.one_of(
+        st.complex_numbers(max_magnitude=2e-2, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        st.floats(-1e3, 1e3).map(complex)), min_size=1, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_array_matches_scalar_elements(self, zs):
+        # each element takes its own branch (series, exponential, negated), and
+        # a scalar call, evaluated as a one-element array, gives its bits
+        w = [z if z.real >= 0.0 else -z for z in zs]
+        assume(all(k == 0 or abs(v - 1j * math.pi * k) > 1e-9
+                   for v, k in ((v, round(v.imag / math.pi)) for v in w)))
+        got = xcothx_m1(np.array(zs))
+        assert got.shape == (len(zs),) and got.dtype == complex
+        for z, v in zip(zs, got.tolist()):
+            one = xcothx_m1(z)
+            assert type(one) is complex
+            assert (np.complex128(one).tobytes() == np.complex128(v).tobytes()
+                    or cmath.isnan(one) and cmath.isnan(v))
+        assert xcothx_m1(np.array(zs * 2).reshape(2, -1)).shape == (2, len(zs))
 
     @pytest.mark.parametrize("z", [1 + 1e308j, -1 - 1e308j, 1e308 + 1e308j, 1e300 + 9e307j])
     def test_overflowed_phase_matches_array(self, z):
-        # exp(-2w) of an infinite phase is NaN in numpy and a domain error
-        # in cmath; where 2 w.real overflows too, both give exp(-2w) = 0
+        # exp(-2w) of an infinite phase is NaN; where 2 w.real overflows too,
+        # exp(-2w) = 0.  A scalar call is finite exactly where its array
+        # element is, and then equal to it
         want = xcothx_m1(np.array([z]))[0]
-        got = xcothx_m1_scalar(z)
+        got = xcothx_m1(z)
         assert cmath.isfinite(got) == cmath.isfinite(want)
         if cmath.isfinite(want):
             assert got == want

@@ -134,10 +134,10 @@ class TestPositivityDelta:
         assert positivity_delta(d).delta == pytest.approx(want, rel=1e-10)
 
     def test_scalar_path_matches_batch(self):
-        # one system is evaluated in Python floats, a batch in numpy; both
-        # sides of the 1e6 factoring threshold give the same bits.  Elements
-        # 2 (only Dpq^2 large) and 3 (both terms large) round differently on
-        # the two sides of the threshold
+        # one system is evaluated as one-element arrays; on both sides of the
+        # 1e6 factoring threshold it gives its batch element's bits.
+        # Elements 2 (only Dpq^2 large) and 3 (both terms large) round
+        # differently on the two sides of the threshold
         Dpp = np.array([0.5, 3.0, 3.3, 1.7e3, 1e-4])
         Dqq = np.array([0.6, 0.1, 0.77, 3.1e3, 1e5])
         Dpq = np.array([0.1, -0.4, 2345.678, 1.1e3, 1e2])
@@ -152,9 +152,9 @@ class TestPositivityDelta:
             assert (one.delta, one.positive) == (batch.delta[i], batch.positive[i])
 
     def test_single_system_cost(self):
-        # one system runs in Python floats, ~15 us a chain on a 2-core host;
-        # the array kernel costs ~450 us for one system, so 100 us catches a
-        # return to it even in the host's slow phase
+        # one system runs the array kernel on one-element arrays, ~60 us a
+        # chain on a 2-core host; the kernel's old per-call overhead was
+        # ~450 us for one system, so 100 us catches a return to it
         def per_call():
             t0 = time.process_time()
             for _ in range(200):

@@ -317,17 +317,30 @@ class TestEquilibrium:
         with pytest.raises(NoEquilibriumError):
             equilibrium_moments(SystemParams(omega0=0.0, T=1.0), d)
 
-    def test_batch_matches_scalar_calls(self):
-        omega0 = np.array([0.3, 1.0, 2.0, 7.0])
-        T = np.array([[0.4], [3.0]])
-        p = SystemParams(omega0=omega0, T=T, M=np.array([1.0, 2.5, 0.5, 1.0]))
+    @given(ratios=st.lists(st.one_of(st.floats(1e-3, 0.9), st.floats(1.1, 30.0),
+                                     st.floats(-1e-9, 1e-9).map(lambda u: 1.0 + u)),
+                           min_size=1, max_size=5),
+           g=st.floats(0.1, 10.0), Ts=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=3),
+           M=st.floats(0.2, 5.0), wc=st.one_of(st.just(math.inf), st.floats(5.0, 1e3)),
+           as_numpy=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_scalar_calls(self, ratios, g, Ts, M, wc, as_numpy):
+        # under-, over- and critically damped systems against temperatures;
+        # each element equals the call for its one system, whose fields may
+        # be np.float64 scalars
+        omega0 = g * np.array(ratios)
+        T = np.array(Ts)[:, None]
+        p = SystemParams(omega0=omega0, T=T, gamma=g, M=M, omega_c=wc)
         eq = equilibrium_moments(p, diffusion_constants(p))
-        assert eq.q2.shape == eq.p2.shape == eq.qp.shape == (2, 4)
-        for i in range(2):
-            for j in range(4):
-                one = SystemParams(omega0=float(omega0[j]), T=float(T[i, 0]), M=float(p.M[j]))
-                want = equilibrium_moments(one, diffusion_constants(one))
-                assert (eq.q2[i, j], eq.p2[i, j], eq.qp[i, j]) == (want.q2, want.p2, want.qp)
+        assert eq.q2.shape == eq.p2.shape == eq.qp.shape == (len(Ts), len(ratios))
+        num = np.float64 if as_numpy else float
+        for i, j in np.ndindex(eq.q2.shape):
+            one = SystemParams(omega0=num(omega0[j]), T=num(T[i, 0]), gamma=num(g), M=num(M),
+                               omega_c=num(wc))
+            want = equilibrium_moments(one, diffusion_constants(one))
+            assert (eq.q2[i, j], eq.p2[i, j], eq.qp[i, j]) == (want.q2, want.p2, want.qp)
+
+    def test_zero_omega0_in_batch_rejected(self):
         with pytest.raises(NoEquilibriumError):
             q = SystemParams(omega0=np.array([1.0, 0.0]), T=1.0)
             equilibrium_moments(q, diffusion_constants(q))
