@@ -26,9 +26,11 @@ import numpy as np
 from .core import (
     SystemParams,
     TemperatureError,
+    _batch,
     _complex,
     _holds,
     _rates,
+    _unbatch,
     _xcothx_m1_real,
     xcothx_m1,
 )
@@ -39,6 +41,8 @@ logger = logging.getLogger(__name__)
 # (lambda2 - lambda1) at critical damping
 CRITICAL_NUDGE = 1e-7
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class AlphaPair:
@@ -48,8 +52,8 @@ class AlphaPair:
     pair, so both coefficients are real; ``residual_imag`` is the larger
     relative imaginary part that was dropped.  The conjugate terms cancel
     exactly and the kernel never forms them, so it is 0.0 where alpha and
-    alpha' are finite and NaN elsewhere.  ``alpha_pair`` gives floats;
-    ``alpha_arrays`` returns the same record with array fields.
+    alpha' are finite and NaN elsewhere.  The fields are floats for one
+    system and arrays for a batch (see ``alpha_arrays``).
     """
 
     alpha: float
@@ -80,11 +84,12 @@ def _bracket_real(x: np.ndarray, lam: np.ndarray, omega_c: Optional[np.ndarray])
     return (b - d) / (1.0 + d)
 
 
-def _alpha_raw(w, T, g, wc, hbar, kB) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the three-bracket closed forms on parameter arrays that
-    broadcast against each other (``wc`` None when no element has a finite
-    cutoff).  The decay rates and every factor that depends on omega0 and
-    gamma alone are computed once at the broadcast shape of ``w`` and ``g``.
+def _alpha_raw(w, s, g, wc) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the three-bracket closed forms on arrays of omega0,
+    s = hbar/(2 kB T), gamma and omega_c that broadcast against each other
+    (``wc`` None when no element has a finite cutoff).  The decay rates and
+    every factor that depends on omega0 and gamma alone are computed once at
+    the broadcast shape of ``w`` and ``g``.
 
     sqrt(lambda1*lambda2) is resolved to +omega0 (principal value; the product
     is omega0^2 exactly, and evenness of xcothx makes the sign immaterial).
@@ -106,27 +111,24 @@ def _alpha_raw(w, T, g, wc, hbar, kB) -> tuple[np.ndarray, np.ndarray]:
     """
     l1_re, om_re, om_im = _rates(w, g)
     l1 = _complex(l1_re, om_im)
+    l2_re = -g - om_re  # Re lambda2
     pair = g < w  # lambda1,2 a conjugate pair
-    s = hbar / (2.0 * kB * T)
     b1 = _bracket(l1 * s, l1, wc)
-    # the omega0 and the real lambda2 bracket are one real evaluation, along
-    # a leading axis of length 2 outside the axes of every field
-    nd = max(l1.ndim, s.ndim, 0 if wc is None else wc.ndim)
-    lam = np.empty((2,) + (1,) * (nd - l1.ndim) + l1.shape)
-    lam[0] = w
-    lam[1] = -g - om_re  # Re lambda2
-    bm, b2 = _bracket_real(lam * s, lam, wc)
-    l2_re = lam[1]
-    b2 = np.where(pair, b1.real, b2)
+    bm = _bracket_real(w * s, w, wc)
+    b2 = np.where(pair, b1.real, _bracket_real(l2_re * s, l2_re, wc))
 
     dr, di = l2_re - l1_re, -2.0 * om_im  # lambda2 - lambda1
     d2 = dr * dr - di * di
     l1sq = l1 * l1
-    prod = w * w  # lambda1*lambda2
+    prod = w * w  # lambda1*lambda2 = |lambda1^2|
     # numpy divides by a complex number through its reciprocal, which
-    # overflows where lambda1^2 is subnormal; a real lambda1 needs no
-    # complex quotient
-    t1 = np.where(pair, (b1 / l1sq).real, b1.real / l1sq.real)
+    # overflows where |lambda1^2| is subnormal: there a pair divides by
+    # lambda1 twice, and a real lambda1 takes a real quotient
+    q = b1 / l1sq
+    tiny = prod < _TINY
+    if np.count_nonzero(tiny):
+        q = np.where(tiny, b1 / l1 / l1, q)
+    t1 = np.where(pair, q.real, b1.real / l1sq.real)
     bm2 = 2.0 * bm
     # where lambda1^2 = 0 these terms are 0/0; alpha is 1 there instead
     terms = t1 - bm2 / prod + np.where(pair, t1, b2 / (l2_re * l2_re))
@@ -137,7 +139,8 @@ def _alpha_raw(w, T, g, wc, hbar, kB) -> tuple[np.ndarray, np.ndarray]:
 
 def alpha_arrays(p: SystemParams) -> AlphaPair:
     """Dissipation coefficients of every system of a batch (see SystemParams),
-    as an AlphaPair of contiguous arrays of shape ``p.shape``.
+    as an AlphaPair of contiguous arrays of shape ``p.shape``; of a single
+    system, as floats.
 
     The fields keep their own shapes and broadcast, so work that depends on
     omega0 and gamma alone is done once per (omega0, gamma) element: a
@@ -157,40 +160,38 @@ def alpha_arrays(p: SystemParams) -> AlphaPair:
     shape = p.shape
     if not _holds(p.T > 0.0):
         raise TemperatureError("alpha, alpha' are only defined for T > 0")
-    w, T, g, wc, hbar, kB = (np.array(v, dtype=float, ndmin=1, copy=None)
-                             for v in (p.omega0, p.T, p.gamma, p.omega_c, p.hbar, p.kB))
-    if _holds(p.omega_c == math.inf):
-        wc = None
+    w, T, g = (_batch(v) for v in (p.omega0, p.T, p.gamma))
+    wc = None if _holds(p.omega_c == math.inf) else _batch(p.omega_c)
     crit = p.is_critical()  # at the (omega0, gamma) shape
-    critical = crit.any() if isinstance(crit, np.ndarray) else bool(crit)
+    critical = crit.any() if isinstance(crit, np.ndarray) else crit
     # omega0 = 0 elements divide 0 by 0 on the way and are replaced; an
     # overflow is no error, as in Python's float arithmetic
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = p.hbar / (2.0 * p.kB * T)
         a, ap = _alpha_raw(np.where(crit, w * (1.0 + CRITICAL_NUDGE), w) if critical else w,
-                           T, g, wc, hbar, kB)
+                           s, g, wc)
         if critical:
             at = np.broadcast_to(crit, a.shape)
-            w_lo, T_lo, g_lo, wc_lo, hbar_lo, kB_lo = (
-                None if v is None else np.broadcast_to(v, a.shape)[at]
-                for v in (w, T, g, wc, hbar, kB))
-            a_lo, ap_lo = _alpha_raw(w_lo * (1.0 - CRITICAL_NUDGE), T_lo, g_lo, wc_lo,
-                                     hbar_lo, kB_lo)
+            w_lo, s_lo, g_lo, wc_lo = (None if v is None else np.broadcast_to(v, a.shape)[at]
+                                       for v in (w, s, g, wc))
+            a_lo, ap_lo = _alpha_raw(w_lo * (1.0 - CRITICAL_NUDGE), s_lo, g_lo, wc_lo)
             a[at] = 0.5 * (a[at] + a_lo)
             ap[at] = 0.5 * (ap[at] + ap_lo)
+        # alpha and alpha' are real expressions: nothing imaginary is dropped
+        # (x - x is +0.0 for finite x and NaN otherwise)
+        residual = (a - a) + (ap - ap)
 
     # a field that takes no part here (M) may broadcast to a larger shape
     if a.shape != (shape or (1,)):
-        a, ap = np.broadcast_to(a, shape), np.broadcast_to(ap, shape)
-    a, ap = (np.array(v, order="C", copy=None).reshape(shape) for v in (a, ap))
-    # alpha and alpha' are real expressions: nothing imaginary is dropped
-    residual = np.where(np.isfinite(a) & np.isfinite(ap), 0.0, np.nan)
+        a, ap, residual = (np.broadcast_to(v, shape) for v in (a, ap, residual))
+    a, ap, residual = (np.ascontiguousarray(v) for v in (a, ap, residual))
     if logger.isEnabledFor(logging.DEBUG):
         # routine below the breakdown temperature; the positivity module, not
         # this one, decides what negative coefficients mean physically
         bad = np.count_nonzero((a <= 0.0) | (ap < 0.0))
         if bad:
             logger.debug("non-positive coefficients at %d of %d points", bad, a.size)
-    return AlphaPair(a, ap, residual)
+    return AlphaPair(_unbatch(a, shape), _unbatch(ap, shape), _unbatch(residual, shape))
 
 
 def alpha_pair(p: SystemParams) -> AlphaPair:
@@ -198,8 +199,7 @@ def alpha_pair(p: SystemParams) -> AlphaPair:
     ``alpha_arrays`` evaluation, equal to its element of any batch."""
     if p.shape:
         raise ValueError("alpha_pair takes one system; use alpha_arrays for a batch")
-    ab = alpha_arrays(p)
-    return AlphaPair(float(ab.alpha), float(ab.alpha_prime), float(ab.residual_imag))
+    return alpha_arrays(p)
 
 
 def alpha_prime_free(gamma: float, T: float, hbar: float = 1.0, kB: float = 1.0) -> float:
@@ -210,5 +210,5 @@ def alpha_prime_free(gamma: float, T: float, hbar: float = 1.0, kB: float = 1.0)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        b = _xcothx_m1_real(np.divide(hbar * gamma, np.full(1, kB * T)))
-    return float(b[0] / (4.0 * gamma * gamma))
+        b = _xcothx_m1_real(hbar * gamma / _batch(kB * T)) / (4.0 * gamma * gamma)
+    return _unbatch(b, ())

@@ -5,7 +5,8 @@ and safe to share across threads.  The kernels take numpy arrays and work
 element by element in numpy's own arithmetic.  A single value is evaluated
 as a one-element array, never as a 0-d array: numpy rounds some 0-d
 operations differently from the same element of an array, so only the
-one-element form gives a batch element's bits.
+one-element form gives a batch element's bits.  ``_batch`` and ``_unbatch``
+make that wrap and unwrap for every caller.
 
 ``_xcothx_m1_real`` is the kernel of a real argument in real arithmetic.
 Where a value is complex its conjugate needs no second evaluation: numpy's
@@ -115,6 +116,18 @@ class SystemParams:
         return abs(self.gamma - self.omega0) <= CRITICAL_TOL * self.gamma
 
 
+def _batch(v, dtype=float) -> np.ndarray:
+    """``v`` as an array of at least one dimension: a single value becomes a
+    one-element array, never a 0-d one (see the module docstring)."""
+    return np.array(v, dtype=dtype, ndmin=1, copy=None)
+
+
+def _unbatch(a: np.ndarray, shape: tuple):
+    """Undo ``_batch`` on a result for inputs of ``shape``: the Python number
+    of a single value (shape ()), else ``a`` itself."""
+    return a if shape else a.item()
+
+
 def _holds(cond) -> bool:
     """True when a comparison holds for every element (NaN never holds)."""
     return cond if cond.__class__ is bool else bool(np.all(cond))
@@ -172,40 +185,49 @@ def xcothx_m1(z):
     The coefficient brackets of the dissipation formulas are differences of
     this quantity at O(z^2) scale; returning the series directly keeps their
     high-temperature cancellations at full precision.  Each element takes
-    its own branch; a scalar is evaluated as a one-element array and returns
-    a complex.
+    its own branch; a scalar returns a complex.
     """
-    z = np.asarray(z, dtype=complex)
-    one = z.ndim == 0
-    if one:
-        z = z.reshape(1)
-    # both branches run on every element (index subsets of data-dependent
-    # size would fill numpy's small-buffer cache with one size after
-    # another); the branch not taken may divide by zero or overflow
+    shape = np.shape(z)
+    z = _batch(z, complex)
+    # each element takes its branch through np.where, not through index
+    # subsets (subsets of data-dependent size would fill numpy's small-buffer
+    # cache with one size after another); a branch that no element takes is
+    # skipped, and the branch not taken may divide by zero or overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         small = np.abs(z) < _SERIES_RADIUS
+        n_small = np.count_nonzero(small)
+        if n_small == small.size:
+            return _unbatch(_series(z * z), shape)
         w = np.where(z.real < 0.0, -z, z)
-        z2 = z * z
-        series = z2 * (1.0 / 3.0 + z2 * (-1.0 / 45.0 + z2 * (2.0 / 945.0)))
         e = np.exp(-2.0 * w)  # |e| <= 1, never overflows
         d = 1.0 - e
-        out = np.where(small, series, w * (1.0 + e) / d - 1.0)
         # at w = i*k*pi + delta, 1 - e = 2*delta + O(delta^2): a pole for
         # k != 0; k = 0 lies in the series disk, which holds no pole
         pole = ~small & (np.abs(d) < 2.0 * _POLE_TOL)
-    if pole.any():
-        v = complex(w[pole][0])
-        raise PoleError(f"argument {v} lies within {_POLE_TOL} of the pole "
-                        f"{round(v.imag / math.pi)}*i*pi")
-    return complex(out[0]) if one else out
+        if np.count_nonzero(pole):
+            v = complex(w[pole][0])
+            raise PoleError(f"argument {v} lies within {_POLE_TOL} of the pole "
+                            f"{round(v.imag / math.pi)}*i*pi")
+        out = w * (1.0 + e) / d - 1.0
+        if n_small:
+            out = np.where(small, _series(z * z), out)
+    return _unbatch(out, shape)
 
 
 def _xcothx_m1_real(x: np.ndarray) -> np.ndarray:
     """xcothx_m1 of a real array, as a real array, for callers that ignore
-    floating-point errors (the branch not taken may divide by zero or
-    overflow).  A real argument has no pole; an infinite one gives inf."""
+    floating-point errors (branches as in ``xcothx_m1``).  A real argument
+    has no pole; an infinite one gives inf."""
     w = np.abs(x)
-    x2 = x * x
-    series = x2 * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0)))
+    small = w < _SERIES_RADIUS
+    n_small = np.count_nonzero(small)
+    if n_small == small.size:
+        return _series(x * x)
     e = np.exp(-2.0 * w)  # |e| <= 1
-    return np.where(w < _SERIES_RADIUS, series, w * (1.0 + e) / (1.0 - e) - 1.0)
+    out = w * (1.0 + e) / (1.0 - e) - 1.0
+    return np.where(small, _series(x * x), out) if n_small else out
+
+
+def _series(z2: np.ndarray) -> np.ndarray:
+    """xcothx_m1 from its even power series in z^2, for |z| < 1e-2."""
+    return z2 * (1.0 / 3.0 + z2 * (-1.0 / 45.0 + z2 * (2.0 / 945.0)))

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import AlphaPair, alpha_arrays, alpha_pair
-from .core import BracketError, SystemParams, TemperatureError, _holds
+from .coefficients import AlphaPair, alpha_arrays
+from .core import BracketError, SystemParams, TemperatureError, _batch, _holds, _unbatch
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +61,7 @@ def diffusion_constants(p: SystemParams) -> DiffusionConstants:
     For a batch of systems (array fields, see SystemParams) the constants
     are arrays, from one ``alpha_arrays`` evaluation.
     """
-    ab = alpha_arrays(p) if p.shape else alpha_pair(p)
+    ab = alpha_arrays(p)
     kT = p.kB * p.T
     g = p.gamma
     Dpq = 4.0 * kT * g * g * ab.alpha_prime
@@ -100,17 +100,16 @@ def positivity_delta(d: DiffusionConstants) -> PositivityReport:
         raise ValueError("positivity_delta needs DiffusionConstants with params attached")
     p = d.params
     # one system is evaluated as one-element arrays (see core)
-    Dpp, Dqq, Dpq, hg = (np.array(v, dtype=float, ndmin=1, copy=None)
-                         for v in (d.Dpp, d.Dqq, d.Dpq, p.hbar * p.gamma))
+    Dpp, Dqq, Dpq, hg = (_batch(v) for v in (d.Dpp, d.Dqq, d.Dpq, p.hbar * p.gamma))
     pq = Dpp * Dqq
     a = pq / (hg * hg)
     b = Dpq / hg
     b = b * b  # >= 0
-    delta = np.where(np.maximum(np.abs(a), b) < 1e6,
-                     (a - b - 0.25) * hg * hg,
-                     pq - Dpq * Dpq - 0.25 * hg * hg)
-    if not p.shape:
-        delta = float(delta[0])
+    factored = np.maximum(np.abs(a), b) < 1e6
+    delta = (a - b - 0.25) * hg * hg
+    if np.count_nonzero(factored) < factored.size:
+        delta = np.where(factored, delta, pq - Dpq * Dpq - 0.25 * hg * hg)
+    delta = _unbatch(delta, p.shape)
     return PositivityReport(delta, delta > 0.0, p.T, p)
 
 

@@ -58,6 +58,20 @@ _D1_SYMBOL_MAX = 4.0 * math.sqrt(1.0 - (1.0 - math.sqrt(1.5)) ** 2) * (3.0 + mat
 # dt * R: a disk radius, below the radius 2.61 of the left half-disk inside
 # RK4's stability region
 _LAWSON_CFL = 2.5
+# numpy aligns array data to 16 bytes, so where a buffer starts within a
+# cache line followed the process's allocation history and moved the
+# stepping time by up to 20% with the same code and output; every buffer
+# starts on a 64-byte boundary instead
+_ALIGN = 64
+
+
+def _aligned_zeros(shape: tuple) -> np.ndarray:
+    """A complex zero array of ``shape`` whose data starts on an _ALIGN-byte
+    boundary."""
+    size = math.prod(shape) * 16
+    raw = np.zeros(size + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start:start + size].view(complex).reshape(shape)
 
 
 class BoundaryMassWarning(UserWarning):
@@ -236,7 +250,7 @@ class _Band:
         return (i + 2) * self.w + m + 2
 
     def buffer(self) -> np.ndarray:
-        return np.zeros((self.n + 4, self.w), dtype=complex)
+        return _aligned_zeros((self.n + 4, self.w))
 
     def band(self, buf: np.ndarray) -> np.ndarray:
         """D as an N x (K + 1) view of the buffer."""
@@ -370,10 +384,10 @@ class _BandOperator(_Band):
         self._acc = self.buffer()
         self._k = self.buffer()
         self._factor = self.buffer()
-        self._b1 = np.empty(shape, dtype=complex)
-        self._b2 = np.empty(shape, dtype=complex)
-        self._t1 = np.empty(shape, dtype=complex)
-        self._t2 = np.empty(shape, dtype=complex)
+        self._b1 = _aligned_zeros(shape)
+        self._b2 = _aligned_zeros(shape)
+        self._t1 = _aligned_zeros(shape)
+        self._t2 = _aligned_zeros(shape)
         self._factor_dt: Optional[float] = None
 
     def _run(self, buf: np.ndarray) -> np.ndarray:

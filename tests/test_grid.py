@@ -493,6 +493,15 @@ class TestLawsonStep:
         # the full-width band's buffer is the full grid's zero-padded one
         assert _BandOperator(g.x, P, D, g.N - 1)._k.shape == (g.N + 4, g.N + 4)
 
+    def test_buffers_start_on_a_cache_line(self):
+        # the stepping time must not follow where the allocator put the data
+        g = gaussian_state(displaced(), N=48, L=8.0 * math.sqrt(3.0 * EQ.q2))
+        op = _BandOperator(g.x, P, D, 20)
+        for buf in (op.buffer(), op._acc, op._factor, op._b1, op._t2, op.from_full(g.values)):
+            assert buf.ctypes.data % 64 == 0 and buf.flags.c_contiguous
+            assert buf.dtype == complex
+        assert not op.buffer().any()
+
     def test_band_plan_is_independent_of_sampling_chunks(self, monkeypatch):
         # an underdamped run over 60 periods samples ~2000 moment times
         p = SystemParams(omega0=2.0, T=2.0, gamma=0.05)
